@@ -290,25 +290,147 @@ void Collector::publishHandshakeCrashState() {
                                std::memory_order_relaxed);
 }
 
-void Collector::abandonStoppedWorld(
-    ThreadRegistry::HandshakeResult &Handshake, const char *Reason) {
-  (void)Reason;
-  ++Resilience.HandshakeTimeouts;
-  ++Resilience.AbandonedCollections;
-  publishHandshakeCrashState();
-  GcIncident Incident;
-  Incident.Cause = GcIncidentCause::HandshakeTimeout;
-  Incident.CollectionIndex = Lifetime.Collections;
-  Incident.HandshakeTrace = std::move(Handshake.Trace);
-  Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-  warn(WarnEvent::HandshakeStall,
-       "cgc: stop-the-world handshake timed out; abandoning collection",
-       Handshake.Nanos);
-  if (Config.HandshakeFatal)
-    fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
-  // The world resumes un-collected; the caller returns an empty cycle
-  // and the allocation ladder degrades to heap growth.
-  Registry.resumeTheWorld();
+Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
+    : GC(GC) {
+  if (!GC.ThreadedMode.load(std::memory_order_relaxed) ||
+      GC.Registry.registeredCount() == 0)
+    return;
+  Self = ThreadRegistry::current();
+  // Reserve every vector the stopped-world window appends to before
+  // any mutator can be frozen: the watchdog's signal rung may park a
+  // thread inside libc malloc with an arena lock held, after which a
+  // collector-side system allocation can deadlock (the bdwgc
+  // no-malloc-between-suspend-and-resume rule).  Two ranges per thread
+  // (stack + registers), plus two for the machine-stack pair an
+  // unregistered collecting thread adds.  Mid-cycle callback
+  // allocations append to MidCyclePins while the world is stopped.
+  const size_t RangeBudget = 2 * GC.Registry.registeredCount() + 2;
+  RootIds.reserve(RangeBudget);
+  GC.Roots.reserveAdditional(RangeBudget);
+  if (GC.MidCyclePins.capacity() < MidCyclePinReserve)
+    GC.MidCyclePins.reserve(MidCyclePinReserve);
+  Handshake = GC.Registry.stopTheWorld(Self);
+  // Watchdog final rung: some mutator could not be stopped.  Raise the
+  // structured incident and abandon the attempt — no phase may run
+  // against a world that is still mutating.  The caller's allocation
+  // ladder treats the empty cycle as "reclaimed nothing" and degrades
+  // to heap growth.
+  if (Handshake.TimedOut) {
+    Abandoned = true;
+    ++GC.Resilience.HandshakeTimeouts;
+    ++GC.Resilience.AbandonedCollections;
+    GC.publishHandshakeCrashState();
+    GcIncident Incident;
+    Incident.Cause = GcIncidentCause::HandshakeTimeout;
+    Incident.CollectionIndex = GC.Lifetime.Collections;
+    Incident.HandshakeTrace = std::move(Handshake.Trace);
+    GC.Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
+    GC.warn(WarnEvent::HandshakeStall,
+            "cgc: stop-the-world handshake timed out; abandoning collection",
+            Handshake.Nanos);
+    if (GC.Config.HandshakeFatal)
+      fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
+    GC.Registry.resumeTheWorld();
+    return;
+  }
+  Stopped = true;
+  GC.StopInitiator.store(Self, std::memory_order_release);
+  if (FlushCaches)
+    CacheFlush = GC.flushThreadCaches();
+  GC.publishHandshakeCrashState();
+  GC.CrashInfo.CacheSlotDebt.store(GC.Heap->cacheSlotDebt(),
+                                   std::memory_order_relaxed);
+  GC.Observers.dispatch([&](GcObserver &O) {
+    O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
+  });
+}
+
+Collector::StoppedWorld::~StoppedWorld() {
+  if (Stopped) {
+    GC.StopInitiator.store(nullptr, std::memory_order_release);
+    GC.Registry.resumeTheWorld();
+  }
+  GC.InCollection = false;
+  GC.MidCyclePins.clear();
+  GC.MidCyclePinOverflow = false;
+}
+
+template <typename BodyT>
+__attribute__((noinline)) void
+Collector::StoppedWorld::withRoots(BodyT &&Body) {
+  // One register buffer serves both shapes: MachineStack::capture
+  // fills it for an unregistered collecting thread, setjmp for a
+  // registered one.  Stopped mutators published their own stack tops
+  // and registers at the safepoint.
+  std::jmp_buf Registers;
+  volatile char Probe = 0;
+  RootSet &Roots = GC.Roots;
+  // The MachineStack base belongs to whichever thread enabled
+  // scanning, which need not be a registered collecting thread; that
+  // one is covered by its mutator ranges instead.
+  if (GC.MachineStackScanner && Self == nullptr) {
+    MachineStack::Snapshot Snap = GC.MachineStackScanner->capture(Registers);
+    RootIds.push_back(Roots.addRange(Snap.HotEnd, Snap.Base,
+                                     RootEncoding::Native64,
+                                     RootSource::Stack, "machine-stack"));
+    RootIds.push_back(Roots.addRange(Snap.RegistersBegin, Snap.RegistersEnd,
+                                     RootEncoding::Native64,
+                                     RootSource::Registers, "machine-regs"));
+  }
+  if (Stopped) {
+    if (Self)
+      setjmp(Registers);
+    // Published tops are probe-local addresses with no particular
+    // alignment; round them down to pointer alignment so the strided
+    // root scan lands exactly on the frame's pointer slots.  The extra
+    // few bytes below the probe are dead stack — harmless to scan.
+    auto AlignDownToPointer = [](const void *P) {
+      return reinterpret_cast<const void *>(
+          reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
+    };
+    GC.Registry.forEachThread([&](MutatorThread &Thread) {
+      bool IsSelf = &Thread == Self;
+      const void *Top = AlignDownToPointer(
+          IsSelf ? const_cast<const char *>(&Probe)
+                 : Thread.StackTop.load(std::memory_order_acquire));
+      const void *RegsBegin;
+      const void *RegsEnd;
+      if (IsSelf) {
+        RegsBegin = &Registers;
+        RegsEnd = reinterpret_cast<const unsigned char *>(&Registers) +
+                  sizeof(std::jmp_buf);
+      } else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire)) {
+        // Preemptively suspended: the cooperative jmp_buf is stale; the
+        // handler's sigsetjmp capture is the live register snapshot.
+        RegsBegin = static_cast<const void *>(&Thread.Suspend.Registers);
+        RegsEnd = static_cast<const void *>(
+            reinterpret_cast<const unsigned char *>(
+                &Thread.Suspend.Registers) +
+            sizeof(sigjmp_buf));
+      } else {
+        RegsBegin = static_cast<const void *>(&Thread.Registers);
+        RegsEnd = static_cast<const void *>(
+            reinterpret_cast<const unsigned char *>(&Thread.Registers) +
+            sizeof(std::jmp_buf));
+      }
+      if (Top != nullptr && Thread.StackBase != nullptr &&
+          Top < Thread.StackBase)
+        RootIds.push_back(Roots.addRange(Top, Thread.StackBase,
+                                         RootEncoding::Native64,
+                                         RootSource::Stack, "mutator-stack"));
+      // Labels here must fit the small-string buffer: these ranges are
+      // registered while the world is stopped, when a heap-allocating
+      // std::string could deadlock against a signal-suspended thread's
+      // malloc arena lock.
+      RootIds.push_back(Roots.addRange(RegsBegin, RegsEnd,
+                                       RootEncoding::Native64,
+                                       RootSource::Registers, "mutator-regs"));
+    });
+  }
+  Body();
+  for (RootId Id : RootIds)
+    Roots.removeRange(Id);
+  RootIds.clear();
 }
 
 void Collector::configureSentinel(const SentinelPolicy &Policy) {
@@ -334,14 +456,6 @@ void Collector::maybeStartupCollect() {
   StartupGcDone = true;
   if (Config.GcAtStartup)
     collect("startup");
-}
-
-void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
-  if (ThreadedMode.load(std::memory_order_relaxed))
-    return allocateThreaded(Bytes, Kind);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/false);
-  return allocateRaw(Bytes, Kind);
 }
 
 //===----------------------------------------------------------------------===//
@@ -408,84 +522,6 @@ void Collector::safepoint() {
   // it would wait for is the one it has not issued yet.
   if (Self && Self != StopInitiator.load(std::memory_order_relaxed))
     Registry.safepoint(Self);
-}
-
-void *Collector::allocateThreaded(size_t Bytes, ObjectKind Kind) {
-  MutatorThread *Self = ThreadRegistry::current();
-  if (Self != nullptr &&
-      Self == StopInitiator.load(std::memory_order_relaxed))
-    // Mid-collection re-entrant allocation (callback context): no
-    // safepoint (self-park) and no cache refill (a refilled slot would
-    // be allocated-but-uncharted under the already-flushed caches);
-    // take the locked slow path, which pins the object (allocateRaw).
-    Self = nullptr;
-  if (Self != nullptr) {
-    // The allocation-time safepoint: the flag check is the documented
-    // "flag-checked slow path"; parking happens only under a stop.
-    Registry.safepoint(Self);
-    if (Self->Cache && !Guards && Kind == ObjectKind::Normal &&
-        SizeClassTable::isSmall(Bytes)) {
-      unsigned Class = Heap->sizeClassFor(Bytes == 0 ? 1 : Bytes);
-      // Lock-free fast path: pop a pre-reserved slot.
-      if (void *Cached = Self->Cache->take(Class))
-        return finishCachedAllocation(Self, Cached, Class);
-      HeapLockGuard Guard(*this);
-      return refillAndAllocate(Self, Bytes, Kind, Class);
-    }
-  }
-  HeapLockGuard Guard(*this);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/false);
-  return allocateRaw(Bytes, Kind);
-}
-
-void *Collector::finishCachedAllocation(MutatorThread *Self, void *Result,
-                                        unsigned Class) {
-  // Size-class geometry is immutable, so reading it lock-free is safe.
-  return finishCachedSlot(Self, Result, Heap->sizeClassBytes(Class));
-}
-
-void *Collector::finishCachedSlot(MutatorThread *Self, void *Result,
-                                  size_t SlotBytes) {
-  Self->CacheAllocs.fetch_add(1, std::memory_order_relaxed);
-  Self->CacheAllocBytes.fetch_add(SlotBytes, std::memory_order_relaxed);
-  // Mirrors allocateRaw's tail: fresh pages are OS-zeroed and reused
-  // slots were cleared at free time when ClearFreedObjects is on.
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, SlotBytes);
-  return Result;
-}
-
-void Collector::noteCacheRefill(unsigned Class, unsigned Slots) {
-  // The whole batch is charged against the collection trigger up front;
-  // the handshake flush returns unused slots before any marking, so the
-  // retained set never sees the over-charge.
-  BytesSinceGc += static_cast<uint64_t>(Slots) * Heap->sizeClassBytes(Class);
-  CrashInfo.CacheSlotDebt.store(Heap->cacheSlotDebt(),
-                                std::memory_order_relaxed);
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onThreadCacheRefill(Class, Slots); });
-}
-
-void *Collector::refillAndAllocate(MutatorThread *Self, size_t Bytes,
-                                   ObjectKind Kind, unsigned Class) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  maybeRunStackClearHooks();
-  if (unsigned Got = Self->Cache->refill(*Heap, Class)) {
-    noteCacheRefill(Class, Got);
-    void *Cached = Self->Cache->take(Class);
-    CGC_ASSERT(Cached != nullptr, "refilled cache has no slot");
-    return finishCachedAllocation(Self, Cached, Class);
-  }
-  // No free slot of this class anywhere: let the ordinary slow path
-  // collect/grow/climb the ladder for one object, then top the cache
-  // up from whatever that reclaimed.
-  void *Result = allocateRaw(Bytes, Kind);
-  if (Result != nullptr)
-    if (unsigned Got = Self->Cache->refill(*Heap, Class))
-      noteCacheRefill(Class, Got);
-  return Result;
 }
 
 Collector::CacheFlushOutcome Collector::flushThreadCaches() {
@@ -564,76 +600,118 @@ uint64_t Collector::pinSuspendedThreadCaches() {
   return Pinned;
 }
 
-void Collector::addMutatorRootRanges(const MutatorThread *SelfThread,
-                                     const void *SelfStackTop,
-                                     const void *SelfRegsBegin,
-                                     const void *SelfRegsEnd,
-                                     std::vector<RootId> &Ids) {
-  // Published tops are probe-local addresses with no particular
-  // alignment; round them down to pointer alignment so the strided
-  // root scan lands exactly on the frame's pointer slots.  The extra
-  // few bytes below the probe are dead stack — harmless to scan.
-  auto AlignDownToPointer = [](const void *P) {
-    return reinterpret_cast<const void *>(
-        reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
-  };
-  Registry.forEachThread([&](MutatorThread &Thread) {
-    bool IsSelf = &Thread == SelfThread;
-    const void *Top = AlignDownToPointer(
-        IsSelf ? SelfStackTop
-               : Thread.StackTop.load(std::memory_order_acquire));
-    const void *RegsBegin;
-    const void *RegsEnd;
-    if (IsSelf) {
-      RegsBegin = SelfRegsBegin;
-      RegsEnd = SelfRegsEnd;
-    } else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire)) {
-      // Preemptively suspended: the cooperative jmp_buf is stale; the
-      // handler's sigsetjmp capture is the live register snapshot.
-      RegsBegin = static_cast<const void *>(&Thread.Suspend.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(
-              &Thread.Suspend.Registers) +
-          sizeof(sigjmp_buf));
-    } else {
-      RegsBegin = static_cast<const void *>(&Thread.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(&Thread.Registers) +
-          sizeof(std::jmp_buf));
+//===----------------------------------------------------------------------===//
+// Allocation
+//===----------------------------------------------------------------------===//
+
+// Inlined into each public entry point, so an allocation with zero
+// registered threads is one call deep, as in the paper's allocator.
+__attribute__((always_inline)) inline void *
+Collector::allocateRequest(const AllocRequest &Req) {
+  MutatorThread *Self = nullptr;
+  if (ThreadedMode.load(std::memory_order_relaxed)) {
+    Self = ThreadRegistry::current();
+    if (Self != nullptr &&
+        Self == StopInitiator.load(std::memory_order_relaxed))
+      // Mid-collection re-entrant allocation (callback context): no
+      // safepoint (self-park) and no cache (a cached slot would be
+      // allocated-but-uncharted under the already-flushed caches); the
+      // locked path pins the object instead.
+      Self = nullptr;
+    if (Self != nullptr) {
+      // The allocation-time safepoint: the flag check is the documented
+      // "flag-checked slow path"; parking happens only under a stop.
+      Registry.safepoint(Self);
+      // Lock-free fast path: pop a slot this thread reserved earlier.
+      if (Self->Cache && Req.cacheable())
+        if (void *Cached = takeCached(Self, Req))
+          return Cached;
     }
-    if (Top != nullptr && Thread.StackBase != nullptr &&
-        Top < Thread.StackBase)
-      Ids.push_back(Roots.addRange(Top, Thread.StackBase,
-                                   RootEncoding::Native64, RootSource::Stack,
-                                   "mutator-stack"));
-    // Labels here must fit the small-string buffer: these ranges are
-    // registered while the world is stopped, when a heap-allocating
-    // std::string could deadlock against a signal-suspended thread's
-    // malloc arena lock.
-    Ids.push_back(Roots.addRange(RegsBegin, RegsEnd, RootEncoding::Native64,
-                                 RootSource::Registers, "mutator-regs"));
-  });
+  }
+  HeapLockGuard Guard(*this);
+  if (Req.Layout != 0 || Guards)
+    return allocateTypedOrGuarded(Req, Self);
+  return allocateResolved(Req, Self);
+}
+
+void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
+  return allocateRequest({Bytes, Kind});
+}
+
+void *Collector::allocateTyped(LayoutId Layout) {
+  AllocRequest Req;
+  Req.Layout = Layout;
+  return allocateRequest(Req);
+}
+
+void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
+  return allocateRequest({Bytes, Kind, /*Layout=*/0, /*Site=*/nullptr,
+                          /*IgnoreOffPage=*/true});
 }
 
 void *Collector::allocateTagged(size_t Bytes, const char *Site,
                                 ObjectKind Kind) {
-  if (!Guards)
-    return allocate(Bytes, Kind); // Tags only exist in guarded mode.
-  safepoint();
-  HeapLockGuard Guard(*this);
-  return allocateGuarded(Bytes, Kind, Guards->internSite(Site),
-                         /*IgnoreOffPage=*/false);
+  return allocateRequest({Bytes, Kind, /*Layout=*/0, Site});
 }
 
-void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
-                                 GuardSiteId Site, bool IgnoreOffPage) {
-  if (Bytes == 0)
-    Bytes = 1;
-  CGC_CHECK(Bytes <= GuardLayer::MaxUserBytes,
+void *Collector::takeCached(MutatorThread *Self, const AllocRequest &Req) {
+  // A typed stub records its slots' capacity, so no descriptor-table
+  // read happens outside the lock; size-class geometry is immutable.
+  size_t SlotBytes = 0;
+  void *Result;
+  if (Req.Layout != 0) {
+    Result = Self->Cache->takeTyped(Req.Layout, SlotBytes);
+  } else {
+    unsigned Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
+    Result = Self->Cache->take(Class);
+    SlotBytes = Heap->sizeClassBytes(Class);
+  }
+  if (Result == nullptr)
+    return nullptr;
+  Self->CacheAllocs.fetch_add(1, std::memory_order_relaxed);
+  Self->CacheAllocBytes.fetch_add(SlotBytes, std::memory_order_relaxed);
+  // Fresh pages are OS-zeroed and reused slots were cleared at free
+  // time when ClearFreedObjects is on.
+  if (!Config.ClearFreedObjects)
+    std::memset(Result, 0, SlotBytes);
+  return Result;
+}
+
+void *Collector::allocateTypedOrGuarded(const AllocRequest &Req,
+                                        MutatorThread *Self) {
+  if (Req.Layout != 0) {
+    // Degenerate bitmaps collapse onto the ordinary kinds, and the
+    // all-conservative ablation ignores descriptors outright: the
+    // request continues as an untyped one, so guarded mode, thread
+    // caches, and the allocation order are exactly the untyped
+    // collector's.  Registered sizes are granule-aligned, so the size
+    // class — and with it every downstream decision — is unchanged.
+    const TypeDescriptor &D = Heap->layout(Req.Layout);
+    AllocRequest Resolved;
+    Resolved.Bytes = D.SizeBytes;
+    if (!Config.AllConservativeDescriptors &&
+        D.Class == DescriptorClass::Precise) {
+      Resolved.Layout = Req.Layout;
+      return allocateResolved(Resolved, Self);
+    }
+    if (!Config.AllConservativeDescriptors &&
+        D.Class == DescriptorClass::PointerFree)
+      Resolved.Kind = ObjectKind::PointerFree;
+    return Guards ? allocateTypedOrGuarded(Resolved, Self)
+                  : allocateResolved(Resolved, Self);
+  }
+
+  // Guarded mode pads the request for header + redzone and arms the
+  // slot once allocateResolved has zeroed it.
+  size_t UserBytes = Req.Bytes == 0 ? 1 : Req.Bytes;
+  CGC_CHECK(UserBytes <= GuardLayer::MaxUserBytes,
             "guarded allocation too large");
-  size_t Padded = static_cast<size_t>(GuardLayer::paddedSize(Bytes));
-  void *Slot = IgnoreOffPage ? allocateRawIgnoreOffPage(Padded, Kind)
-                             : allocateRaw(Padded, Kind);
+  AllocRequest Padded;
+  Padded.Bytes = static_cast<size_t>(GuardLayer::paddedSize(UserBytes));
+  Padded.Kind = Req.Kind;
+  Padded.IgnoreOffPage = Req.IgnoreOffPage;
+  GuardSiteId Site = Guards->internSite(Req.Site);
+  void *Slot = allocateResolved(Padded, Self);
   if (!Slot)
     return nullptr;
   // An installed OOM handler's result is returned verbatim; it is not
@@ -644,28 +722,69 @@ void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
   CGC_ASSERT(Ref.valid(), "guarded slot must be an object base");
   // Arm against the slot's full capacity (the size class may round the
   // padded request up), so the redzone covers the slop bytes too.
-  uint64_t Seqno = Guards->arm(Slot, Heap->objectSize(Ref), Bytes, Site);
-  (void)Seqno;
+  Guards->arm(Slot, Heap->objectSize(Ref), UserBytes, Site);
   return GuardLayer::userPointer(Slot);
 }
 
-void *Collector::allocateRaw(size_t Bytes, ObjectKind Kind) {
+void *Collector::allocateResolved(const AllocRequest &Req,
+                                  MutatorThread *Self) {
   MetadataScope MetaScope(*this);
+  bool Cached = Self != nullptr && Self->Cache && Req.cacheable();
+  // Only a typed request that just resolved onto the untyped stubs can
+  // hit here; every other one missed this same stub lock-free.
+  if (Cached)
+    if (void *Result = takeCached(Self, Req))
+      return Result;
+
   maybeStartupCollect();
   maybeRunStackClearHooks();
 
-  void *Result;
-  if (SizeClassTable::isSmall(Bytes)) {
-    Result = Heap->allocateFromExisting(Bytes, Kind);
-    if (!Result)
-      Result = allocateSmallSlow(Bytes, Kind);
-  } else {
-    Result = allocateLargeSlow(Bytes, Kind, /*IgnoreOffPage=*/false);
+  // Refills charge the whole batch against the collection trigger up
+  // front; the handshake flush returns unused slots before any
+  // marking, so the retained set never sees the over-charge.
+  auto Refill = [&] {
+    unsigned Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
+    unsigned Got = Req.Layout != 0
+                       ? Self->Cache->refillTyped(*Heap, Req.Layout)
+                       : Self->Cache->refill(*Heap, Class);
+    if (Got == 0)
+      return false;
+    BytesSinceGc += static_cast<uint64_t>(Got) * Heap->sizeClassBytes(Class);
+    CrashInfo.CacheSlotDebt.store(Heap->cacheSlotDebt(),
+                                  std::memory_order_relaxed);
+    Observers.dispatch(
+        [&](GcObserver &O) { O.onThreadCacheRefill(Class, Got); });
+    return true;
+  };
+  if (Cached && Refill()) {
+    void *Result = takeCached(Self, Req);
+    CGC_ASSERT(Result != nullptr, "refilled cache has no slot");
+    return Result;
   }
-  if (!Result)
-    return reportOutOfMemory(Bytes);
 
-  BytesSinceGc += Bytes;
+  // The heap attempt: existing free slots of a small class or layout.
+  // A large object takes fresh pages, so allocateSlow is its first try.
+  void *Result = SizeClassTable::isSmall(Req.Bytes)
+                     ? Heap->allocateFromExisting(Req.Bytes, Req.Kind,
+                                                  Req.Layout)
+                     : nullptr;
+  if (!Result)
+    Result = allocateSlow(Req);
+  if (!Result) {
+    ++Resilience.OomEvents;
+    CrashInfo.OomEvents.store(Resilience.OomEvents,
+                              std::memory_order_relaxed);
+    noteCrashEvent(GcEventKind::OutOfMemory, /*Phase=*/-1, Req.Bytes);
+    bool HasHandler = Config.OomHandler != nullptr;
+    Observers.dispatch(
+        [&](GcObserver &O) { O.onOutOfMemory(Req.Bytes, HasHandler); });
+    if (!HasHandler)
+      return nullptr;
+    ++Resilience.OomHandlerInvocations;
+    return Config.OomHandler(Req.Bytes, Config.OomHandlerData);
+  }
+
+  BytesSinceGc += Req.Bytes;
   // A callback allocating mid-collection gets an object with a clear
   // mark bit that the cycle's own sweep would reclaim before the
   // callback even returns; pin it for this cycle.
@@ -675,72 +794,48 @@ void *Collector::allocateRaw(size_t Bytes, ObjectKind Kind) {
   // at free time when ClearFreedObjects is on.  Clear here otherwise
   // so clients always see zeroed memory.
   if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Bytes);
+    std::memset(Result, 0, Req.Bytes);
+  // The class had no free slot to refill from: top the cache up from
+  // whatever the slow path reclaimed or grew.
+  if (Cached)
+    Refill();
   return Result;
 }
 
-void *Collector::allocateSmallSlow(size_t Bytes, ObjectKind Kind) {
-  // Out of cached slots: decide whether to collect before taking more
-  // pages.  (Never mid-collection: a callback's allocation must not
-  // recurse into collect.)
-  if (!InCollection && shouldCollectBeforeGrowth()) {
-    collect("allocation-threshold");
-    if (void *Result = Heap->allocateFromExisting(Bytes, Kind))
+void *Collector::allocateSlow(const AllocRequest &Req) {
+  bool Small = SizeClassTable::isSmall(Req.Bytes);
+  // Every step below retries the request directly: existing free slots,
+  // then a fresh block, for a small class or layout; a fresh page run
+  // (committing pages as needed) for a large object.
+  auto Retry = [&]() -> void * {
+    if (!Small)
+      return Heap->allocateLarge(Req.Bytes, Req.Kind, Req.IgnoreOffPage);
+    if (void *Result =
+            Heap->allocateFromExisting(Req.Bytes, Req.Kind, Req.Layout))
       return Result;
-  }
-  // Grow: a fresh block for this class (commits pages as needed).
-  if (Heap->addBlockForClass(Bytes, Kind))
-    return Heap->allocateFromExisting(Bytes, Kind);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    if (void *Result = Heap->allocateFromExisting(Bytes, Kind))
-      return Result;
-    if (Heap->addBlockForClass(Bytes, Kind))
-      return Heap->allocateFromExisting(Bytes, Kind);
+    if (Heap->addBlock(Req.Bytes, Req.Kind, Req.Layout))
+      return Heap->allocateFromExisting(Req.Bytes, Req.Kind, Req.Layout);
     return nullptr;
-  });
-}
-
-void *Collector::allocateLargeSlow(size_t Bytes, ObjectKind Kind,
-                                   bool IgnoreOffPage) {
+  };
+  // Out of free slots: decide whether to collect before taking more
+  // pages.  (Never mid-collection: a callback's allocation must not
+  // recurse into collect.)  Then grow.
   if (!InCollection && shouldCollectBeforeGrowth())
     collect("allocation-threshold");
-  if (void *Result = Heap->allocateLarge(Bytes, Kind, IgnoreOffPage))
+  if (void *Result = Retry())
     return Result;
   // A blacklist that has eaten a sizable share of the committed heap is
   // the paper's worst case for large objects: every candidate run must
   // dodge it.  Tell the client (rate-limited) before fighting on.
-  uint64_t Blacklisted = BlacklistImpl->entryCount();
-  if (Blacklisted * 4 >= Pages->stats().CommittedPages &&
+  if (!Small &&
+      BlacklistImpl->entryCount() * 4 >= Pages->stats().CommittedPages &&
       Pages->stats().CommittedPages > 0)
     warn(WarnEvent::LargeAllocOnBlacklistedHeap,
-         "cgc: large allocation on a blacklist-saturated heap", Bytes);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    return Heap->allocateLarge(Bytes, Kind, IgnoreOffPage);
-  });
-}
+         "cgc: large allocation on a blacklist-saturated heap", Req.Bytes);
 
-void *Collector::allocateTypedSlow(LayoutId Layout) {
-  uint64_t Bytes = Heap->layout(Layout).SizeBytes;
-  if (!InCollection && shouldCollectBeforeGrowth()) {
-    collect("allocation-threshold");
-    if (void *Result = Heap->allocateTypedFromExisting(Layout))
-      return Result;
-  }
-  if (Heap->addBlockForLayout(Layout))
-    return Heap->allocateTypedFromExisting(Layout);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    if (void *Result = Heap->allocateTypedFromExisting(Layout))
-      return Result;
-    if (Heap->addBlockForLayout(Layout))
-      return Heap->allocateTypedFromExisting(Layout);
-    return nullptr;
-  });
-}
-
-void *Collector::runExhaustionLadder(uint64_t Bytes,
-                                     const std::function<void *()> &Retry) {
-  // Rung 1: finish pending lazy sweeps.  Queued blocks of *other*
-  // classes may sweep empty and release whole page runs.
+  // The exhaustion ladder.  Rung 1: finish pending lazy sweeps.  Queued
+  // blocks of *other* classes may sweep empty and release whole page
+  // runs.
   if (Heap->pendingSweepCount() > 0) {
     ++Resilience.LazySweepFlushes;
     Heap->finishPendingSweeps();
@@ -767,9 +862,9 @@ void *Collector::runExhaustionLadder(uint64_t Bytes,
   ++Resilience.EmergencyCollections;
   CrashInfo.EmergencyCollections.store(Resilience.EmergencyCollections,
                                        std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::EmergencyCollection, /*Phase=*/-1, Bytes);
+  noteCrashEvent(GcEventKind::EmergencyCollection, /*Phase=*/-1, Req.Bytes);
   Observers.dispatch(
-      [&](GcObserver &O) { O.onEmergencyCollection(Bytes); });
+      [&](GcObserver &O) { O.onEmergencyCollection(Req.Bytes); });
   InteriorPolicy SavedInterior = Config.Interior;
   if (SavedInterior == InteriorPolicy::All)
     Config.Interior = InteriorPolicy::FirstPage;
@@ -779,20 +874,6 @@ void *Collector::runExhaustionLadder(uint64_t Bytes,
   Heap->setEmergencyPageRelaxation(false);
   Config.Interior = SavedInterior;
   return Result;
-}
-
-void *Collector::reportOutOfMemory(uint64_t Bytes) {
-  ++Resilience.OomEvents;
-  CrashInfo.OomEvents.store(Resilience.OomEvents,
-                            std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::OutOfMemory, /*Phase=*/-1, Bytes);
-  bool HasHandler = Config.OomHandler != nullptr;
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onOutOfMemory(Bytes, HasHandler); });
-  if (!HasHandler)
-    return nullptr;
-  ++Resilience.OomHandlerInvocations;
-  return Config.OomHandler(Bytes, Config.OomHandlerData);
 }
 
 void Collector::noteLadderCollection(const CollectionStats &Cycle) {
@@ -1113,117 +1194,6 @@ Collector::registerObjectLayout(const std::vector<bool> &PointerWords,
   return Heap->registerLayout(PointerWords, SizeBytes);
 }
 
-void *Collector::allocateTyped(LayoutId Layout) {
-  safepoint();
-  // Lock-free typed fast path: a stub only ever holds slots this thread
-  // reserved earlier for this descriptor, and records their capacity,
-  // so no descriptor-table read happens outside the lock.
-  MutatorThread *Self = nullptr;
-  if (ThreadedMode.load(std::memory_order_relaxed)) {
-    Self = ThreadRegistry::current();
-    // Mid-collection callback: bypass the cache paths entirely (see
-    // allocateThreaded) and let the locked tail pin the object.
-    if (Self == StopInitiator.load(std::memory_order_relaxed))
-      Self = nullptr;
-    if (Self && Self->Cache && !Guards &&
-        !Config.AllConservativeDescriptors) {
-      size_t SlotBytes = 0;
-      if (void *Cached = Self->Cache->takeTyped(Layout, SlotBytes))
-        return finishCachedSlot(Self, Cached, SlotBytes);
-    }
-  }
-  size_t RouteBytes;
-  ObjectKind RouteKind;
-  {
-    HeapLockGuard Guard(*this);
-    MetadataScope MetaScope(*this);
-    const TypeDescriptor &D = Heap->layout(Layout);
-    if (!Config.AllConservativeDescriptors &&
-        D.Class == DescriptorClass::Precise) {
-      if (Self && Self->Cache && !Guards)
-        return refillTypedAndAllocate(Self, Layout);
-      maybeStartupCollect();
-      maybeRunStackClearHooks();
-      void *Result = Heap->allocateTypedFromExisting(Layout);
-      if (!Result)
-        Result = allocateTypedSlow(Layout);
-      if (!Result)
-        return reportOutOfMemory(D.SizeBytes);
-      BytesSinceGc += D.SizeBytes;
-      if (InCollection)
-        pinMidCycleAllocation(Result);
-      if (!Config.ClearFreedObjects)
-        std::memset(Result, 0, D.SizeBytes);
-      return Result;
-    }
-    // Degenerate bitmaps collapse onto the ordinary kinds, and the
-    // all-conservative ablation ignores descriptors outright: route
-    // through allocate() so guarded mode, thread caches, and the
-    // allocation stream are exactly the untyped collector's.
-    // Registered sizes are granule-aligned, so the size class — and
-    // with it every downstream decision — is unchanged.
-    RouteBytes = D.SizeBytes;
-    RouteKind = !Config.AllConservativeDescriptors &&
-                        D.Class == DescriptorClass::PointerFree
-                    ? ObjectKind::PointerFree
-                    : ObjectKind::Normal;
-  }
-  return allocate(RouteBytes, RouteKind);
-}
-
-void *Collector::refillTypedAndAllocate(MutatorThread *Self,
-                                        LayoutId Layout) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  maybeRunStackClearHooks();
-  unsigned Class = Heap->sizeClassFor(Heap->layout(Layout).SizeBytes);
-  if (unsigned Got = Self->Cache->refillTyped(*Heap, Layout)) {
-    noteCacheRefill(Class, Got);
-    size_t SlotBytes = 0;
-    void *Cached = Self->Cache->takeTyped(Layout, SlotBytes);
-    CGC_ASSERT(Cached != nullptr, "refilled typed cache has no slot");
-    return finishCachedSlot(Self, Cached, SlotBytes);
-  }
-  // No free slot of this layout anywhere: drive the typed ladder for
-  // one object, then top the stub up from whatever that reclaimed.
-  void *Result = Heap->allocateTypedFromExisting(Layout);
-  if (!Result)
-    Result = allocateTypedSlow(Layout);
-  if (!Result)
-    return reportOutOfMemory(Heap->layout(Layout).SizeBytes);
-  BytesSinceGc += Heap->layout(Layout).SizeBytes;
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Heap->layout(Layout).SizeBytes);
-  if (unsigned Got = Self->Cache->refillTyped(*Heap, Layout))
-    noteCacheRefill(Class, Got);
-  return Result;
-}
-
-void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
-  safepoint();
-  HeapLockGuard Guard(*this);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/true);
-  return allocateRawIgnoreOffPage(Bytes, Kind);
-}
-
-void *Collector::allocateRawIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  if (SizeClassTable::isSmall(Bytes))
-    return allocateRaw(Bytes, Kind); // Small objects fit one page anyway.
-  maybeRunStackClearHooks();
-  void *Result = allocateLargeSlow(Bytes, Kind, /*IgnoreOffPage=*/true);
-  if (!Result)
-    return reportOutOfMemory(Bytes);
-  BytesSinceGc += Bytes;
-  if (InCollection)
-    pinMidCycleAllocation(Result);
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Bytes);
-  return Result;
-}
-
 void Collector::registerDisplacement(uint32_t Displacement) {
   HeapLockGuard Guard(*this);
   MarkerImpl->registerDisplacement(Displacement);
@@ -1298,51 +1268,11 @@ CollectionStats Collector::collect(const char *Reason) {
   // Threaded mode: rendezvous every registered mutator at a safepoint
   // before any phase touches shared heap state, and drain the
   // per-thread allocation caches so mark/sweep never see a slot that is
-  // allocated-but-uncharted.  With zero registered threads this whole
-  // block is dead and the cycle is bit-identical to sequential mode.
-  MutatorThread *SelfThread = nullptr;
-  bool WorldStopped = false;
-  ThreadRegistry::HandshakeResult Handshake;
-  CacheFlushOutcome CacheFlush;
-  std::vector<RootId> ThreadRootIds;
-  if (ThreadedMode.load(std::memory_order_relaxed) &&
-      Registry.registeredCount() != 0) {
-    SelfThread = ThreadRegistry::current();
-    // Reserve every vector the stopped-world window appends to before
-    // any mutator can be frozen: the watchdog's signal rung may park a
-    // thread inside libc malloc with an arena lock held, after which a
-    // collector-side system allocation can deadlock (the bdwgc
-    // no-malloc-between-suspend-and-resume rule).  Two ranges per
-    // thread (stack + registers), plus two for the machine-stack pair
-    // an unregistered collecting thread adds.
-    const size_t RangeBudget = 2 * Registry.registeredCount() + 2;
-    ThreadRootIds.reserve(RangeBudget);
-    Roots.reserveAdditional(RangeBudget);
-    // Mid-cycle callback allocations append to MidCyclePins while the
-    // world is stopped; pre-grow it here for the same reason.
-    if (MidCyclePins.capacity() < MidCyclePinReserve)
-      MidCyclePins.reserve(MidCyclePinReserve);
-    Handshake = Registry.stopTheWorld(SelfThread);
-    WorldStopped = true;
-    StopInitiator.store(SelfThread, std::memory_order_release);
-    // Watchdog final rung: some mutator could not be stopped.  Raise
-    // the structured incident and abandon the attempt — no phase may
-    // run against a world that is still mutating.  The caller's
-    // allocation ladder treats the empty cycle as "reclaimed nothing"
-    // and degrades to heap growth.
-    if (Handshake.TimedOut) {
-      StopInitiator.store(nullptr, std::memory_order_release);
-      abandonStoppedWorld(Handshake, Reason);
-      return CollectionStats();
-    }
-    CacheFlush = flushThreadCaches();
-    publishHandshakeCrashState();
-    CrashInfo.CacheSlotDebt.store(Heap->cacheSlotDebt(),
-                                  std::memory_order_relaxed);
-    Observers.dispatch([&](GcObserver &O) {
-      O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
-    });
-  }
+  // allocated-but-uncharted.  With zero registered threads the cycle is
+  // bit-identical to sequential mode.
+  StoppedWorld World(*this, /*FlushCaches=*/true);
+  if (World.abandoned())
+    return CollectionStats();
 
   // Guarded mode: release every quarantined slot (poison-checked)
   // before any phase runs, so the sweep only ever sees armed headers
@@ -1359,9 +1289,9 @@ CollectionStats Collector::collect(const char *Reason) {
     Hook();
 
   CollectionStats Cycle;
-  Cycle.MutatorsStopped = Handshake.MutatorsStopped;
-  Cycle.HandshakeNanos = Handshake.Nanos;
-  Cycle.CacheSlotsFlushed = CacheFlush.SlotsFlushed;
+  Cycle.MutatorsStopped = World.Handshake.MutatorsStopped;
+  Cycle.HandshakeNanos = World.Handshake.Nanos;
+  Cycle.CacheSlotsFlushed = World.CacheFlush.SlotsFlushed;
   TimingSink.attach(&Cycle);
   uint64_t CollectionIndex = Lifetime.Collections;
   CrashInfo.CollectionIndex.store(CollectionIndex,
@@ -1369,42 +1299,6 @@ CollectionStats Collector::collect(const char *Reason) {
   noteCrashEvent(GcEventKind::CollectionBegin, /*Phase=*/-1, 0);
   Observers.dispatch(
       [&](GcObserver &O) { O.onCollectionBegin(CollectionIndex, Reason); });
-
-  // If real-stack scanning is on, snapshot the stack and registers and
-  // expose them as temporary root ranges.  A registered collecting
-  // thread is covered by the mutator root ranges below instead — the
-  // MachineStack base belongs to whichever thread enabled scanning,
-  // which need not be this one.
-  std::jmp_buf RegisterBuffer;
-  RootId StackRoot = 0, RegisterRoot = 0;
-  if (MachineStackScanner && SelfThread == nullptr) {
-    MachineStack::Snapshot Snap =
-        MachineStackScanner->capture(RegisterBuffer);
-    StackRoot = Roots.addRange(Snap.HotEnd, Snap.Base,
-                               RootEncoding::Native64, RootSource::Stack,
-                               "machine-stack");
-    RegisterRoot = Roots.addRange(Snap.RegistersBegin, Snap.RegistersEnd,
-                                  RootEncoding::Native64,
-                                  RootSource::Registers,
-                                  "machine-regs");
-  }
-
-  // Stopped mutators published their stack top and registers at the
-  // safepoint; the collecting thread snapshots its own here.  Probe and
-  // jmp_buf are function-scope so the ranges stay valid through every
-  // phase; deeper collector frames sit below the probe and are
-  // (correctly) excluded.
-  std::jmp_buf SelfRegisters;
-  volatile char SelfProbe = 0;
-  if (WorldStopped) {
-    if (SelfThread)
-      setjmp(SelfRegisters);
-    addMutatorRootRanges(
-        SelfThread, const_cast<const char *>(&SelfProbe), &SelfRegisters,
-        reinterpret_cast<const unsigned char *>(&SelfRegisters) +
-            sizeof(std::jmp_buf),
-        ThreadRootIds);
-  }
 
   // The phase pipeline, transactional under the repair ladder: the
   // verify sink (VerifyEveryCollection, !RepairFatal) sets
@@ -1433,7 +1327,7 @@ CollectionStats Collector::collect(const char *Reason) {
     // signal, possibly mid-fast-path) still hold reserved slots with
     // AllocBits set but no marks; pin them before leak reporting and
     // the sweep so neither treats them as garbage.
-    if (!RepairPending && CacheFlush.CachesSkipped != 0)
+    if (!RepairPending && World.CacheFlush.CachesSkipped != 0)
       C.CacheSlotsPinned = pinSuspendedThreadCaches();
 
     // Begin-observer allocations were pinned before the Mark phase
@@ -1505,34 +1399,36 @@ CollectionStats Collector::collect(const char *Reason) {
       });
   };
 
-  RunPipeline(Cycle);
-
-  // Transactional retry: a mid-phase verification failure abandoned
-  // the pipeline above.  Repair in place — world still stopped, heap
-  // lock held — and retry the cycle once under the already-paid
-  // handshake (the root-scan clears the partial mark state).  A second
-  // failure parks the collector in degraded mode rather than ever
-  // sweeping over metadata that cannot be made consistent.
-  if (RepairPending) {
-    RepairPending = false;
-    ++RepairStatsInfo.CollectionsRetried;
-    repairHeapLocked();
-    CollectionStats Retry;
-    Retry.MutatorsStopped = Cycle.MutatorsStopped;
-    Retry.HandshakeNanos = Cycle.HandshakeNanos;
-    Retry.CacheSlotsFlushed = Cycle.CacheSlotsFlushed;
-    Cycle = Retry; // Same address: the timing sink stays attached.
+  World.withRoots([&] {
     RunPipeline(Cycle);
+
+    // Transactional retry: a mid-phase verification failure abandoned
+    // the pipeline above.  Repair in place — world still stopped, heap
+    // lock held — and retry the cycle once under the already-paid
+    // handshake (the root-scan clears the partial mark state).  A
+    // second failure parks the collector in degraded mode rather than
+    // ever sweeping over metadata that cannot be made consistent.
     if (RepairPending) {
       RepairPending = false;
+      ++RepairStatsInfo.CollectionsRetried;
       repairHeapLocked();
-      RepairStatsInfo.DegradedMode = true;
-      warn(WarnEvent::MetadataRepair,
-           "cgc: heap verification failed again after repair; collector "
-           "degraded to growth-only allocation",
-           Lifetime.Collections);
+      CollectionStats Retry;
+      Retry.MutatorsStopped = Cycle.MutatorsStopped;
+      Retry.HandshakeNanos = Cycle.HandshakeNanos;
+      Retry.CacheSlotsFlushed = Cycle.CacheSlotsFlushed;
+      Cycle = Retry; // Same address: the timing sink stays attached.
+      RunPipeline(Cycle);
+      if (RepairPending) {
+        RepairPending = false;
+        repairHeapLocked();
+        RepairStatsInfo.DegradedMode = true;
+        warn(WarnEvent::MetadataRepair,
+             "cgc: heap verification failed again after repair; collector "
+             "degraded to growth-only allocation",
+             Lifetime.Collections);
+      }
     }
-  }
+  });
 
   Cycle.BlacklistedPages = BlacklistImpl->entryCount();
   // Aggregate views of the pipeline timings (see GcStats.h).
@@ -1541,13 +1437,6 @@ CollectionStats Collector::collect(const char *Reason) {
       Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::Mark)] +
       Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::BlacklistPromote)];
   Cycle.SweepNanos = Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::Sweep)];
-
-  if (StackRoot != 0)
-    Roots.removeRange(StackRoot);
-  if (RegisterRoot != 0)
-    Roots.removeRange(RegisterRoot);
-  for (RootId Id : ThreadRootIds)
-    Roots.removeRange(Id);
 
   LastCycle = Cycle;
   Lifetime.accumulate(Cycle);
@@ -1572,13 +1461,6 @@ CollectionStats Collector::collect(const char *Reason) {
   Observers.dispatch(
       [&](GcObserver &O) { O.onCollectionEnd(CollectionIndex, Cycle); });
   TimingSink.attach(nullptr);
-  if (WorldStopped) {
-    StopInitiator.store(nullptr, std::memory_order_release);
-    Registry.resumeTheWorld();
-  }
-  InCollection = false;
-  MidCyclePins.clear();
-  MidCyclePinOverflow = false;
   // Request re-sealing: it happens when the outermost MetadataScope
   // unwinds, so an allocation slow path that triggered this collection
   // finishes on writable metadata first.
@@ -1601,75 +1483,14 @@ CollectionStats Collector::measureLiveness() {
   // census must not perturb the caches it is measuring, and cached
   // slots carry set alloc+mark treatment only at sweep time (which a
   // census never reaches).
-  MutatorThread *SelfThread = nullptr;
-  bool WorldStopped = false;
-  std::vector<RootId> ThreadRootIds;
-  if (ThreadedMode.load(std::memory_order_relaxed) &&
-      Registry.registeredCount() != 0) {
-    SelfThread = ThreadRegistry::current();
-    // As in collect(): reserve root-range storage before any mutator
-    // can be frozen inside libc malloc by the watchdog's signal rung.
-    const size_t RangeBudget = 2 * Registry.registeredCount() + 2;
-    ThreadRootIds.reserve(RangeBudget);
-    Roots.reserveAdditional(RangeBudget);
-    if (MidCyclePins.capacity() < MidCyclePinReserve)
-      MidCyclePins.reserve(MidCyclePinReserve);
-    ThreadRegistry::HandshakeResult Handshake =
-        Registry.stopTheWorld(SelfThread);
-    WorldStopped = true;
-    StopInitiator.store(SelfThread, std::memory_order_release);
-    if (Handshake.TimedOut) {
-      StopInitiator.store(nullptr, std::memory_order_release);
-      abandonStoppedWorld(Handshake, "measure-liveness");
-      return CollectionStats();
-    }
-    publishHandshakeCrashState();
-    Observers.dispatch([&](GcObserver &O) {
-      O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
-    });
-  }
+  StoppedWorld World(*this, /*FlushCaches=*/false);
+  if (World.abandoned())
+    return CollectionStats();
   InCollection = true;
   for (const auto &Hook : PreCollectionHooks)
     Hook();
   CollectionStats Cycle;
-  std::jmp_buf RegisterBuffer;
-  RootId StackRoot = 0, RegisterRoot = 0;
-  if (MachineStackScanner && SelfThread == nullptr) {
-    MachineStack::Snapshot Snap =
-        MachineStackScanner->capture(RegisterBuffer);
-    StackRoot = Roots.addRange(Snap.HotEnd, Snap.Base,
-                               RootEncoding::Native64, RootSource::Stack,
-                               "machine-stack");
-    RegisterRoot = Roots.addRange(Snap.RegistersBegin, Snap.RegistersEnd,
-                                  RootEncoding::Native64,
-                                  RootSource::Registers,
-                                  "machine-regs");
-  }
-  std::jmp_buf SelfRegisters;
-  volatile char SelfProbe = 0;
-  if (WorldStopped) {
-    if (SelfThread)
-      setjmp(SelfRegisters);
-    addMutatorRootRanges(
-        SelfThread, const_cast<const char *>(&SelfProbe), &SelfRegisters,
-        reinterpret_cast<const unsigned char *>(&SelfRegisters) +
-            sizeof(std::jmp_buf),
-        ThreadRootIds);
-  }
-  MarkerImpl->runMark(Roots, Cycle);
-  if (StackRoot != 0)
-    Roots.removeRange(StackRoot);
-  if (RegisterRoot != 0)
-    Roots.removeRange(RegisterRoot);
-  for (RootId Id : ThreadRootIds)
-    Roots.removeRange(Id);
-  if (WorldStopped) {
-    StopInitiator.store(nullptr, std::memory_order_release);
-    Registry.resumeTheWorld();
-  }
-  InCollection = false;
-  MidCyclePins.clear();
-  MidCyclePinOverflow = false;
+  World.withRoots([&] { MarkerImpl->runMark(Roots, Cycle); });
   return Cycle;
 }
 

@@ -500,16 +500,55 @@ private:
   };
   static constexpr unsigned NumWarnEvents = 10;
 
-  /// The unguarded allocation paths (the historical allocate /
-  /// allocateIgnoreOffPage bodies); the public entry points route
-  /// through the guard layer first when DebugGuards is on.
-  void *allocateRaw(size_t Bytes, ObjectKind Kind);
-  void *allocateRawIgnoreOffPage(size_t Bytes, ObjectKind Kind);
-  /// Guarded allocation: pads the request for header + redzone, takes a
-  /// raw slot, arms the guard metadata, and returns the interior user
-  /// pointer (slot base + GuardLayer::HeaderBytes).
-  void *allocateGuarded(size_t Bytes, ObjectKind Kind, GuardSiteId Site,
-                        bool IgnoreOffPage);
+  /// One allocation as the public entry points describe it.  Every
+  /// allocation flows through allocateRequest: the lock-free thread-
+  /// cache fast path, else the locked path under the heap lock.
+  struct AllocRequest {
+    size_t Bytes = 0;
+    ObjectKind Kind = ObjectKind::Normal;
+    /// Descriptor of an allocateTyped request (0 = untyped).  Resolved
+    /// under the heap lock: Bytes becomes the descriptor's size, and a
+    /// degenerate descriptor (or the all-conservative ablation) turns
+    /// the request into an untyped one.
+    LayoutId Layout = 0;
+    /// Allocation-site tag (allocateTagged); used in guarded mode only.
+    const char *Site = nullptr;
+    /// Large objects retained only through first-page pointers.
+    bool IgnoreOffPage = false;
+
+    /// Whether a registered thread's cache may serve the request:
+    /// typed stubs for typed requests, the per-class stubs for small
+    /// Normal-kind ones.  Ignore-off-page requests stay off the cache.
+    bool cacheable() const {
+      return Layout != 0 || (!IgnoreOffPage && Kind == ObjectKind::Normal &&
+                             SizeClassTable::isSmall(Bytes));
+    }
+  };
+  /// Routes \p Req: for a registered thread the safepoint poll and the
+  /// lock-free cache pop, then the locked path under the heap lock (with
+  /// zero registered threads neither the lock nor the registry is
+  /// touched).  The stop initiator's re-entrant allocations (callback
+  /// context) bypass both the safepoint and the cache.
+  void *allocateRequest(const AllocRequest &Req);
+  /// The locked path's first steps, for typed or guarded requests only:
+  /// a typed request resolves its descriptor (a degenerate one joins
+  /// the untyped stream); guarded mode pads an untyped request for
+  /// header + redzone and arms the slot allocateResolved returns.
+  void *allocateTypedOrGuarded(const AllocRequest &Req, MutatorThread *Self);
+  /// The rest of the locked path, for a resolved request: the cache
+  /// refill, the heap attempt, allocateSlow, and the accounting tail
+  /// (BytesSinceGc, mid-cycle pin, zeroing, cache top-up).  \p Self is
+  /// the calling registered thread when its cache may be used.
+  void *allocateResolved(const AllocRequest &Req, MutatorThread *Self);
+  /// Threshold collect, grow, then the exhaustion ladder (flush lazy
+  /// sweeps, collect, emergency collect), retrying \p Req directly
+  /// between rungs.  \returns nullptr with the ladder exhausted.
+  void *allocateSlow(const AllocRequest &Req);
+  /// Pops a slot for \p Req from \p Self's cache and finishes it
+  /// (counters, zeroing); nullptr when the stub is empty.  Owner thread
+  /// only; BytesSinceGc was charged at refill.
+  void *takeCached(MutatorThread *Self, const AllocRequest &Req);
+
   /// Guarded free-path validation ladder; every bad class raises a
   /// structured incident instead of undefined behavior.
   void deallocateGuarded(void *Ptr);
@@ -556,27 +595,6 @@ private:
     Collector &GC;
     bool Active;
   };
-  /// Threaded-mode allocate(): safepoint poll, lock-free cache pop,
-  /// then the locked refill / ordinary slow path.
-  void *allocateThreaded(size_t Bytes, ObjectKind Kind);
-  /// Refills \p Self's cache for \p Class under the heap lock and
-  /// serves one slot; falls back to the ordinary small-object ladder
-  /// when the class needs a new block.
-  void *refillAndAllocate(MutatorThread *Self, size_t Bytes,
-                          ObjectKind Kind, unsigned Class);
-  /// Refills \p Self's typed stub for Precise descriptor \p Layout
-  /// under the heap lock and serves one slot; falls back to the typed
-  /// slow path when the layout needs a new block.
-  void *refillTypedAndAllocate(MutatorThread *Self, LayoutId Layout);
-  /// Counters + conditional clear for a slot handed out from a cache,
-  /// mirroring allocateRaw's tail (BytesSinceGc was charged at refill).
-  void *finishCachedAllocation(MutatorThread *Self, void *Result,
-                               unsigned Class);
-  /// Same, for a slot of known byte capacity (typed stubs record it).
-  void *finishCachedSlot(MutatorThread *Self, void *Result,
-                         size_t SlotBytes);
-  /// Accounting + observer event for a completed cache refill.
-  void noteCacheRefill(unsigned Class, unsigned Slots);
   /// What flushThreadCaches did: slots returned to the heap, and
   /// caches it had to leave populated because their owner is frozen by
   /// the watchdog's suspend signal.
@@ -610,27 +628,51 @@ private:
   /// watchdog's suspend signal (frozen at an arbitrary instruction,
   /// possibly inside libc malloc with an arena lock held).
   bool anyMutatorSignalSuspended() const;
-  /// Adds [StackTop, StackBase) + register-snapshot root ranges for
-  /// every registered thread, in registration order; the collecting
-  /// thread's bounds are the caller's (fresh) probe and jmp_buf.
-  void addMutatorRootRanges(const MutatorThread *SelfThread,
-                            const void *SelfStackTop,
-                            const void *SelfRegsBegin,
-                            const void *SelfRegsEnd,
-                            std::vector<RootId> &Ids);
 
+  /// The stopped-world window shared by collect() and measureLiveness().
+  /// With zero registered threads it touches neither the heap lock nor
+  /// the registry and only adds the machine-stack roots.  Otherwise the
+  /// constructor reserves every vector the window appends to (root
+  /// ranges, mid-cycle pins), rendezvouses every registered mutator with
+  /// the caller as StopInitiator, abandons the attempt on a handshake
+  /// timeout, and, if asked, drains the thread caches.  The destructor
+  /// resumes the world and ends the cycle's mid-cycle bookkeeping
+  /// (InCollection, MidCyclePins).  The caller holds the heap lock.
+  class StoppedWorld {
+  public:
+    /// A liveness census passes \p FlushCaches false: it must not
+    /// perturb the caches it is measuring.
+    StoppedWorld(Collector &GC, bool FlushCaches);
+    ~StoppedWorld();
+    StoppedWorld(const StoppedWorld &) = delete;
+    StoppedWorld &operator=(const StoppedWorld &) = delete;
+
+    /// The handshake timed out: the incident was raised, the world
+    /// resumed un-collected, and the caller returns an empty cycle.
+    bool abandoned() const { return Abandoned; }
+
+    /// Adds the machine-stack pair (unregistered collecting thread) or
+    /// every registered thread's stack and register ranges, runs
+    /// \p Body, and removes the ranges.  The collecting thread's register
+    /// snapshot and stack probe live in this frame, which runs the
+    /// phases, so every frame that can hold a spilled pointer is covered.
+    template <typename BodyT> void withRoots(BodyT &&Body);
+
+    ThreadRegistry::HandshakeResult Handshake;
+    CacheFlushOutcome CacheFlush;
+
+  private:
+    Collector &GC;
+    MutatorThread *Self = nullptr;
+    bool Stopped = false;
+    bool Abandoned = false;
+    std::vector<RootId> RootIds;
+  };
   /// ThreadRegistry::StallWarnFn target: routes a watchdog stall report
   /// for one still-running mutator through the rate-limited warn path
   /// (WarnEvent::HandshakeStall), naming the thread and its state.
   static void stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
                              uint64_t StalledNanos);
-  /// Raises the HandshakeTimeout incident (per-thread trace attached),
-  /// updates resilience/crash counters, and either fatals
-  /// (GcConfig::HandshakeFatal) or resumes the stopped threads so the
-  /// caller can abandon the collection attempt.  \p Reason names the
-  /// abandoned collection for the event ring.
-  void abandonStoppedWorld(ThreadRegistry::HandshakeResult &Handshake,
-                           const char *Reason);
   /// Publishes the registry's lifetime handshake counters into the
   /// crash-visible state after every stop-the-world.
   void publishHandshakeCrashState();
@@ -652,23 +694,6 @@ private:
   void maybeRunStackClearHooks();
   /// Runs the startup collection once, before the first allocation.
   void maybeStartupCollect();
-  /// Small-object slow path: threshold collect, grow, then the ladder.
-  void *allocateSmallSlow(size_t Bytes, ObjectKind Kind);
-  /// Large-object slow path: threshold collect, direct attempt (grows
-  /// internally), then the ladder.
-  void *allocateLargeSlow(size_t Bytes, ObjectKind Kind,
-                          bool IgnoreOffPage);
-  /// Typed-object slow path, mirroring allocateSmallSlow.
-  void *allocateTypedSlow(LayoutId Layout);
-  /// The shared exhaustion tail: flush lazy sweeps, collect, emergency
-  /// collect — retrying \p Retry between rungs.  \returns the
-  /// allocation or nullptr with the ladder exhausted (the OOM handler
-  /// is the caller's last step, via reportOutOfMemory).
-  void *runExhaustionLadder(uint64_t Bytes,
-                            const std::function<void *()> &Retry);
-  /// Emits the out-of-memory observer event and invokes the installed
-  /// handler (once); \returns the handler's result verbatim.
-  void *reportOutOfMemory(uint64_t Bytes);
   /// Tracks whether a ladder-forced collection reclaimed anything and
   /// warns on repeated no-progress cycles.
   void noteLadderCollection(const CollectionStats &Cycle);

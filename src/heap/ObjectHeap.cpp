@@ -77,16 +77,22 @@ BlockId ObjectHeap::pickAllocationBlock(ClassList &List, ObjectKind Kind,
   return Id;
 }
 
-void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind) {
+void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind,
+                                       LayoutId Layout) {
   CGC_ASSERT(SizeClassTable::isSmall(Bytes), "small-object path only");
+  CGC_ASSERT(Layout == 0 || (Kind == ObjectKind::Normal &&
+                             layout(Layout).Class == DescriptorClass::Precise),
+             "typed blocks hold Normal-kind Precise-descriptor objects");
   if (Bytes == 0)
     Bytes = 1;
   unsigned Class = SizeClasses.classForSize(Bytes);
   ClassList &List =
-      ClassLists[size_t(Kind) * SizeClasses.numClasses() + Class];
+      Layout != 0
+          ? TypedClassLists[Layout]
+          : ClassLists[size_t(Kind) * SizeClasses.numClasses() + Class];
   size_t SlotSize = SizeClasses.classSize(Class);
 
-  BlockId Id = pickAllocationBlock(List, Kind, SlotSize, /*Layout=*/0);
+  BlockId Id = pickAllocationBlock(List, Kind, SlotSize, Layout);
   if (Id == InvalidBlockId)
     return nullptr;
 
@@ -228,12 +234,12 @@ BlockId ObjectHeap::createSmallBlock(size_t SlotSize, ObjectKind Kind,
   return Id;
 }
 
-bool ObjectHeap::addBlockForClass(size_t Bytes, ObjectKind Kind) {
+bool ObjectHeap::addBlock(size_t Bytes, ObjectKind Kind, LayoutId Layout) {
   CGC_ASSERT(SizeClassTable::isSmall(Bytes), "small-object path only");
   if (Bytes == 0)
     Bytes = 1;
   size_t SlotSize = SizeClasses.classSize(SizeClasses.classForSize(Bytes));
-  return createSmallBlock(SlotSize, Kind, /*Layout=*/0) != InvalidBlockId;
+  return createSmallBlock(SlotSize, Kind, Layout) != InvalidBlockId;
 }
 
 LayoutId ObjectHeap::registerLayout(const std::vector<bool> &PointerWords,
@@ -247,38 +253,6 @@ LayoutId ObjectHeap::registerLayout(const std::vector<bool> &PointerWords,
   uint32_t Aligned =
       static_cast<uint32_t>(alignTo(SizeBytes, GranuleBytes));
   return Descriptors.intern(PointerWords, Aligned);
-}
-
-/// The degenerate descriptor classes collapse onto the ordinary kind
-/// paths: Conservative is an untyped Normal allocation, PointerFree an
-/// untyped PointerFree one.  Only Precise descriptors mint typed
-/// blocks.
-static ObjectKind kindForDegenerate(DescriptorClass Class) {
-  return Class == DescriptorClass::PointerFree ? ObjectKind::PointerFree
-                                               : ObjectKind::Normal;
-}
-
-void *ObjectHeap::allocateTypedFromExisting(LayoutId Id) {
-  const TypeDescriptor &D = layout(Id);
-  if (D.Class != DescriptorClass::Precise)
-    return allocateFromExisting(D.SizeBytes, kindForDegenerate(D.Class));
-  ClassList &List = TypedClassLists[Id];
-  BlockId Block = pickAllocationBlock(List, ObjectKind::Normal, D.SizeBytes,
-                                      /*Layout=*/Id);
-  if (Block == InvalidBlockId)
-    return nullptr;
-  Stats.BytesRequested += D.SizeBytes;
-  return takeSlot(Block, Blocks.get(Block));
-}
-
-bool ObjectHeap::addBlockForLayout(LayoutId Id) {
-  const TypeDescriptor &D = layout(Id);
-  if (D.Class != DescriptorClass::Precise)
-    return addBlockForClass(D.SizeBytes, kindForDegenerate(D.Class));
-  size_t SlotSize =
-      SizeClasses.classSize(SizeClasses.classForSize(D.SizeBytes));
-  return createSmallBlock(SlotSize, ObjectKind::Normal, Id) !=
-         InvalidBlockId;
 }
 
 void *ObjectHeap::allocateLarge(size_t Bytes, ObjectKind Kind,

@@ -140,9 +140,13 @@ public:
   ObjectHeap(VirtualArena &Arena, PageAllocator &Pages, PageMap &Map,
              BlockTable &Blocks, const ObjectHeapConfig &Config);
 
-  /// Allocates from existing blocks/free slots only; nullptr when a new
-  /// block (and possibly a collection) is needed.  Small sizes only.
-  void *allocateFromExisting(size_t Bytes, ObjectKind Kind);
+  /// Allocates a small object from existing blocks/free slots only:
+  /// untyped \p Kind storage when \p Layout is 0, else a slot of
+  /// Precise descriptor \p Layout (typed Normal-kind blocks, scanned
+  /// precisely; degenerate descriptors are routed onto the untyped
+  /// kinds by the caller).  nullptr when a new block (and possibly a
+  /// collection) is needed; drive with addBlock.
+  void *allocateFromExisting(size_t Bytes, ObjectKind Kind, LayoutId Layout);
 
   //===--------------------------------------------------------------===//
   // Thread-cache support (heap/ThreadCache.h).  Callers hold the heap
@@ -198,8 +202,9 @@ public:
     return SizeClasses.classSize(Class);
   }
 
-  /// Acquires a fresh page for \p Bytes's size class; false on OOM.
-  bool addBlockForClass(size_t Bytes, ObjectKind Kind);
+  /// Acquires a fresh page for \p Bytes's size class, keyed like
+  /// allocateFromExisting; false on OOM.
+  bool addBlock(size_t Bytes, ObjectKind Kind, LayoutId Layout);
 
   /// Allocates a large object on its own page run; nullptr on OOM.
   /// With \p IgnoreOffPage, only first-page pointers retain the object
@@ -223,15 +228,6 @@ public:
 
   /// The descriptor registry (for reports and tests).
   const TypeDescriptorTable &descriptorTable() const { return Descriptors; }
-
-  /// Allocates an object with a registered descriptor.  Precise
-  /// descriptors use typed (LayoutId != 0) Normal-kind blocks and are
-  /// scanned precisely; degenerate descriptors route onto the untyped
-  /// Normal / PointerFree paths.  Small sizes only; nullptr when a new
-  /// block is needed (drive with addBlockForLayout, as with the untyped
-  /// path).
-  void *allocateTypedFromExisting(LayoutId Id);
-  bool addBlockForLayout(LayoutId Id);
 
   /// How an explicit-free candidate pointer classifies, computed
   /// without mutating anything; the collector's free-path validation

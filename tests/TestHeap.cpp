@@ -264,10 +264,10 @@ struct ObjectHeapFixture : public ::testing::Test {
   }
 
   void *allocSmall(size_t Bytes, ObjectKind Kind = ObjectKind::Normal) {
-    void *P = Heap->allocateFromExisting(Bytes, Kind);
+    void *P = Heap->allocateFromExisting(Bytes, Kind, /*Layout=*/0);
     if (!P) {
-      EXPECT_TRUE(Heap->addBlockForClass(Bytes, Kind));
-      P = Heap->allocateFromExisting(Bytes, Kind);
+      EXPECT_TRUE(Heap->addBlock(Bytes, Kind, /*Layout=*/0));
+      P = Heap->allocateFromExisting(Bytes, Kind, /*Layout=*/0);
     }
     return P;
   }
@@ -486,11 +486,11 @@ TEST_F(ObjectHeapFixture, LifoAblationUsesRecentBlock) {
   PageMap Map2(Arena.numPages());
   PageAllocator Pages2(Arena, 4096, 2048, 64, true);
   ObjectHeap Lifo(Arena, Pages2, Map2, Blocks2, Config);
-  ASSERT_TRUE(Lifo.addBlockForClass(8, ObjectKind::Normal));
-  void *A = Lifo.allocateFromExisting(8, ObjectKind::Normal);
+  ASSERT_TRUE(Lifo.addBlock(8, ObjectKind::Normal, /*Layout=*/0));
+  void *A = Lifo.allocateFromExisting(8, ObjectKind::Normal, /*Layout=*/0);
   ASSERT_NE(A, nullptr);
   Lifo.deallocateExplicit(A);
-  void *B = Lifo.allocateFromExisting(8, ObjectKind::Normal);
+  void *B = Lifo.allocateFromExisting(8, ObjectKind::Normal, /*Layout=*/0);
   EXPECT_EQ(B, A) << "LIFO reuses the most recently freed-into block";
 }
 

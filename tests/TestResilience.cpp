@@ -10,7 +10,9 @@
 #include "core/Collector.h"
 #include "support/FaultInjection.h"
 #include <cstring>
+#include <functional>
 #include <gtest/gtest.h>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -513,15 +515,18 @@ TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
   // pre-reserved capacity (Collector::MidCyclePinReserve): the list
   // must grow past the reservation — legal here, no mutator is
   // signal-suspended — and every pin must still be re-pinned after
-  // Mark's bit reset so the sweep keeps all of them.
+  // Mark's bit reset so the sweep keeps all of them.  Each entry point
+  // runs sequentially and with the collecting thread registered, where
+  // the storm takes the stop initiator's safepoint-and-cache bypass.
+  enum class Entry { Allocate, Typed, IgnoreOffPage };
   struct StormObserver final : GcObserver {
-    Collector *GC = nullptr;
+    std::function<char *()> Alloc;
     std::vector<char *> Storm;
     void onCollectionBegin(uint64_t, const char *) override {
       if (!Storm.empty())
         return; // only the first observed cycle storms
       for (int I = 0; I != 2000; ++I) {
-        auto *Ptr = static_cast<char *>(GC->allocate(32));
+        char *Ptr = Alloc();
         ASSERT_NE(Ptr, nullptr);
         std::memset(Ptr, I & 0xff, 32);
         Storm.push_back(Ptr);
@@ -529,25 +534,47 @@ TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
     }
   };
 
-  Collector GC(smallHeapConfig(16 << 20));
-  StormObserver Observer;
-  Observer.GC = &GC;
-  for (int I = 0; I != 200; ++I)
-    ASSERT_NE(GC.allocate(64), nullptr);
-  GcObserverId Id = GC.addObserver(&Observer);
-  GC.collect("pin-storm");
-  GC.removeObserver(Id);
-  ASSERT_EQ(Observer.Storm.size(), 2000u);
+  for (Entry E : {Entry::Allocate, Entry::Typed, Entry::IgnoreOffPage}) {
+    for (bool Registered : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "entry " << static_cast<int>(E)
+                                      << (Registered ? " registered"
+                                                     : " sequential"));
+      Collector GC(smallHeapConfig(16 << 20));
+      std::optional<GcThreadScope> Scope;
+      if (Registered)
+        Scope.emplace(GC);
+      LayoutId Layout =
+          GC.registerObjectLayout({true, false, true, false}, 32);
+      StormObserver Observer;
+      Observer.Alloc = [&]() -> char * {
+        switch (E) {
+        case Entry::Allocate:
+          return static_cast<char *>(GC.allocate(32));
+        case Entry::Typed:
+          return static_cast<char *>(GC.allocateTyped(Layout));
+        case Entry::IgnoreOffPage:
+          // Large (one page each), so the storm runs the page-run path.
+          return static_cast<char *>(GC.allocateIgnoreOffPage(2100));
+        }
+        return nullptr;
+      };
+      for (int I = 0; I != 200; ++I)
+        ASSERT_NE(GC.allocate(64), nullptr);
+      GcObserverId Id = GC.addObserver(&Observer);
+      GC.collect("pin-storm");
+      GC.removeObserver(Id);
+      ASSERT_EQ(Observer.Storm.size(), 2000u);
 
-  // Churn to surface any reclaimed-and-reused slot, then verify.
-  for (int I = 0; I != 500; ++I)
-    ASSERT_NE(GC.allocate(32), nullptr);
-  for (size_t N = 0; N != Observer.Storm.size(); ++N)
-    for (int I = 0; I != 32; ++I)
-      ASSERT_EQ(Observer.Storm[N][I],
-                static_cast<char>(N & 0xff))
-          << "storm object " << N << " byte " << I;
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+      // Churn to surface any reclaimed-and-reused slot, then verify.
+      for (int I = 0; I != 500; ++I)
+        ASSERT_NE(Observer.Alloc(), nullptr);
+      for (size_t N = 0; N != Observer.Storm.size(); ++N)
+        for (int I = 0; I != 32; ++I)
+          ASSERT_EQ(Observer.Storm[N][I], static_cast<char>(N & 0xff))
+              << "storm object " << N << " byte " << I;
+      EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+    }
+  }
 }
 
 TEST(Resilience, WarnProcMayAllocateAndFree) {

@@ -309,43 +309,51 @@ TEST(SignalSuspend, SuspendedThreadCacheIsPinnedNotFlushed) {
 // carrying a per-thread trace, and allocation degrades to heap growth
 // instead of hanging or crashing.
 TEST(StopWorld, FinalTimeoutRaisesIncidentAndDegrades) {
-  GcConfig Config = testConfig();
-  Config.HandshakeDeadlineMs = 150;
-  Config.SuspendSignal = -1; // No signal rung: force the final rung.
-  Collector GC(Config);
-  IncidentRecorder Recorder;
-  GcObserverId Id = GC.addObserver(&Recorder);
-  std::atomic<bool> Wedged{false};
-  std::atomic<bool> Resume{false};
-  std::thread Worker([&] { wedgedWorker(GC, Wedged, Resume); });
-  while (!Wedged.load(std::memory_order_acquire))
-    std::this_thread::yield();
+  // Both stopped-world entry points abandon the same way.
+  const std::pair<const char *, CollectionStats (*)(Collector &)> Entries[] = {
+      {"collect", [](Collector &GC) { return GC.collect("doomed"); }},
+      {"measureLiveness", [](Collector &GC) { return GC.measureLiveness(); }},
+  };
+  for (const auto &[Name, Run] : Entries) {
+    SCOPED_TRACE(Name);
+    GcConfig Config = testConfig();
+    Config.HandshakeDeadlineMs = 150;
+    Config.SuspendSignal = -1; // No signal rung: force the final rung.
+    Collector GC(Config);
+    IncidentRecorder Recorder;
+    GcObserverId Id = GC.addObserver(&Recorder);
+    std::atomic<bool> Wedged{false};
+    std::atomic<bool> Resume{false};
+    std::thread Worker([&] { wedgedWorker(GC, Wedged, Resume); });
+    while (!Wedged.load(std::memory_order_acquire))
+      std::this_thread::yield();
 
-  CollectionStats Abandoned = GC.collect("doomed");
-  EXPECT_EQ(Abandoned.ObjectsMarked, 0u);
-  EXPECT_EQ(Abandoned.MutatorsStopped, 0u);
-  ASSERT_EQ(Recorder.Causes.size(), 1u);
-  EXPECT_EQ(Recorder.Causes[0], GcIncidentCause::HandshakeTimeout);
-  ASSERT_EQ(Recorder.LastTrace.size(), 1u);
-  EXPECT_EQ(Recorder.LastTrace[0].State, 0u) << "wedged thread is Running";
-  EXPECT_EQ(Recorder.LastTrace[0].SignalAttempts, 0u);
-  EXPECT_FALSE(Recorder.LastTrace[0].SignalSuspended);
-  GcResilienceStats R = GC.resilienceStats();
-  EXPECT_EQ(R.HandshakeTimeouts, 1u);
-  EXPECT_EQ(R.AbandonedCollections, 1u);
-  EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 1u);
+    CollectionStats Abandoned = Run(GC);
+    EXPECT_EQ(Abandoned.ObjectsMarked, 0u);
+    EXPECT_EQ(Abandoned.MutatorsStopped, 0u);
+    ASSERT_EQ(Recorder.Causes.size(), 1u);
+    EXPECT_EQ(Recorder.Causes[0], GcIncidentCause::HandshakeTimeout);
+    ASSERT_EQ(Recorder.LastTrace.size(), 1u);
+    EXPECT_EQ(Recorder.LastTrace[0].State, 0u) << "wedged thread is Running";
+    EXPECT_EQ(Recorder.LastTrace[0].SignalAttempts, 0u);
+    EXPECT_FALSE(Recorder.LastTrace[0].SignalSuspended);
+    GcResilienceStats R = GC.resilienceStats();
+    EXPECT_EQ(R.HandshakeTimeouts, 1u);
+    EXPECT_EQ(R.AbandonedCollections, 1u);
+    EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 1u);
 
-  // The world was resumed and the collector still serves allocations.
-  void *P = GC.allocate(128);
-  EXPECT_NE(P, nullptr);
+    // The world was resumed and the collector still serves allocations.
+    void *P = GC.allocate(128);
+    EXPECT_NE(P, nullptr);
 
-  Resume.store(true, std::memory_order_release);
-  Worker.join();
-  GC.removeObserver(Id);
-  // With the wedge gone, the next handshake completes normally.
-  CollectionStats Healthy = GC.collect("recovered");
-  EXPECT_EQ(Healthy.MutatorsStopped, 0u);
-  EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 1u);
+    Resume.store(true, std::memory_order_release);
+    Worker.join();
+    GC.removeObserver(Id);
+    // With the wedge gone, the next handshake completes normally.
+    CollectionStats Healthy = GC.collect("recovered");
+    EXPECT_EQ(Healthy.MutatorsStopped, 0u);
+    EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 1u);
+  }
 }
 
 // Under HandshakeFatal the final rung aborts instead of degrading.

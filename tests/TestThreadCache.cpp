@@ -13,6 +13,7 @@
 #include "heap/ThreadCache.h"
 #include <atomic>
 #include <gtest/gtest.h>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,32 @@ TEST(ThreadCache, FastPathHitsAndBatchRefills) {
 // collection sees exactly the objects clients really hold.  100 rooted
 // allocations through a warm cache census as exactly 100 live objects,
 // cached-but-unconsumed slots notwithstanding.
+// A cache miss on a fresh heap falls back to the heap for one object;
+// that allocation counts toward StackClearEveryNAllocs exactly once, as
+// it does without a registered thread.
+TEST(ThreadCache, MissCountsOneStackClearAllocation) {
+  for (bool Typed : {false, true}) {
+    for (bool Registered : {false, true}) {
+      SCOPED_TRACE(testing::Message() << (Typed ? "allocateTyped" : "allocate")
+                                      << (Registered ? " registered"
+                                                     : " sequential"));
+      GcConfig Config = testConfig();
+      Config.StackClearing = StackClearMode::Cheap;
+      Config.StackClearEveryNAllocs = 1;
+      Collector GC(Config);
+      LayoutId Layout =
+          GC.registerObjectLayout({true, false, true, false}, 32);
+      unsigned HookRuns = 0;
+      GC.addStackClearHook([&HookRuns] { ++HookRuns; });
+      std::optional<GcThreadScope> Scope;
+      if (Registered)
+        Scope.emplace(GC);
+      EXPECT_NE(Typed ? GC.allocateTyped(Layout) : GC.allocate(16), nullptr);
+      EXPECT_EQ(HookRuns, 1u);
+    }
+  }
+}
+
 TEST(ThreadCache, FlushPreservesRetainedSet) {
   GcConfig Config = testConfig();
   Config.ThreadCacheSlots = 32;
