@@ -82,234 +82,133 @@ struct cgc_collector {
   GcObserverId IncidentObserverId = 0;
 };
 
-static SentinelPolicy convertSentinelPolicy(const cgc_sentinel_policy *C) {
-  SentinelPolicy Policy;
-  if (!C)
-    return Policy;
-  Policy.Enabled = C->enabled != 0;
-  if (C->window_collections)
-    Policy.WindowCollections = C->window_collections;
-  if (C->growth_floor_bytes)
-    Policy.GrowthFloorBytes = C->growth_floor_bytes;
-  if (C->growth_slope_fraction > 0)
-    Policy.GrowthSlopeFraction = C->growth_slope_fraction;
-  Policy.MinGrowingDeltas = C->min_growing_deltas;
-  if (C->escalation_cooldown)
-    Policy.EscalationCooldown = C->escalation_cooldown;
-  if (C->tighten_cycles)
-    Policy.TightenCycles = C->tighten_cycles;
-  if (C->calm_collections)
-    Policy.CalmCollections = C->calm_collections;
-  return Policy;
+namespace {
+
+/// Reads each C field into its C++ counterpart by the field's rule; the
+/// C++ side starts at its default.
+struct ReadFromC {
+  /// A value <= 0 (so 0, for the unsigned fields) keeps the default.
+  template <class CT, class T> void positive(const CT &C, T &Cxx) {
+    if (C > 0)
+      Cxx = C;
+  }
+  /// Copied verbatim: 0 and negative values mean something here.
+  template <class CT, class T> void exact(const CT &C, T &Cxx) { Cxx = C; }
+  void flag(const int &C, bool &Cxx) { Cxx = C != 0; }
+  /// A byte stride other than 1, 2, 4 or 8 keeps the default.
+  void alignment(const unsigned &C, unsigned &Cxx) {
+    if (C == 1 || C == 2 || C == 4 || C == 8)
+      Cxx = C;
+  }
+  /// The CGC_* constants equal the enumerators (static_asserts below);
+  /// an unknown or negative value keeps the default.
+  template <class E> void choice(const int &C, E &Cxx, E Last) {
+    if (C >= 0 && C <= static_cast<int>(Last))
+      Cxx = static_cast<E>(C);
+  }
+  /// Custom placement takes the offset even when it is 0, and a nonzero
+  /// offset forces Custom: clients older than the placement enum set
+  /// only the offset.  Mapped after the placement.
+  void baseOffset(const unsigned long long &C, HeapPlacement &Placement,
+                  uint64_t &Offset) {
+    if (C || Placement == HeapPlacement::Custom) {
+      Placement = HeapPlacement::Custom;
+      Offset = C;
+    }
+  }
+  void reserved(const int &) {}
+};
+
+/// Writes each resolved C++ field back into its C counterpart.
+struct WriteToC {
+  template <class CT, class T> void positive(CT &C, const T &Cxx) { C = Cxx; }
+  template <class CT, class T> void exact(CT &C, const T &Cxx) { C = Cxx; }
+  void flag(int &C, const bool &Cxx) { C = Cxx ? 1 : 0; }
+  void alignment(unsigned &C, const unsigned &Cxx) { C = Cxx; }
+  template <class E> void choice(int &C, const E &Cxx, E) {
+    C = static_cast<int>(Cxx);
+  }
+  void baseOffset(unsigned long long &C, const HeapPlacement &Placement,
+                  const uint64_t &Offset) {
+    C = Placement == HeapPlacement::Custom ? Offset : 0;
+  }
+  void reserved(int &C) { C = 0; }
+};
+
+/// The one list of cgc_sentinel_policy fields, each beside its rule.
+/// \p C and \p Cxx differ in constness by direction (see mapConfig).
+template <class Mapper, class CPolicy, class Policy>
+void mapSentinelPolicy(Mapper &&M, CPolicy &C, Policy &Cxx) {
+  M.flag(C.enabled, Cxx.Enabled);
+  M.positive(C.window_collections, Cxx.WindowCollections);
+  M.positive(C.growth_floor_bytes, Cxx.GrowthFloorBytes);
+  M.positive(C.growth_slope_fraction, Cxx.GrowthSlopeFraction);
+  M.exact(C.min_growing_deltas, Cxx.MinGrowingDeltas);
+  M.positive(C.escalation_cooldown, Cxx.EscalationCooldown);
+  M.positive(C.tighten_cycles, Cxx.TightenCycles);
+  M.positive(C.calm_collections, Cxx.CalmCollections);
 }
 
-static GcConfig convertConfig(const cgc_config *C) {
-  GcConfig Config;
-  if (!C)
-    return Config;
-  if (C->window_bytes)
-    Config.WindowBytes = C->window_bytes;
-  if (C->max_heap_bytes)
-    Config.MaxHeapBytes = C->max_heap_bytes;
-  switch (C->heap_placement) {
-  case CGC_PLACEMENT_LOW_SBRK:
-    Config.Placement = HeapPlacement::LowSbrk;
-    break;
-  case CGC_PLACEMENT_ASCII_RANGE:
-    Config.Placement = HeapPlacement::AsciiRange;
-    break;
-  case CGC_PLACEMENT_CUSTOM:
-    Config.Placement = HeapPlacement::Custom;
-    Config.CustomHeapBaseOffset = C->heap_base_offset;
-    break;
-  default:
-    Config.Placement = HeapPlacement::HighBitsMixed;
-    break;
-  }
-  // Pre-placement-enum clients set only heap_base_offset; honor it.
-  if (C->heap_base_offset && Config.Placement != HeapPlacement::Custom) {
-    Config.Placement = HeapPlacement::Custom;
-    Config.CustomHeapBaseOffset = C->heap_base_offset;
-  }
-  if (C->heap_growth_pages)
-    Config.HeapGrowthPages = C->heap_growth_pages;
-  Config.DecommitFreedPages = C->decommit_freed_pages != 0;
-  switch (C->interior_policy) {
-  case CGC_INTERIOR_BASE_ONLY:
-    Config.Interior = InteriorPolicy::BaseOnly;
-    break;
-  case CGC_INTERIOR_FIRST_PAGE:
-    Config.Interior = InteriorPolicy::FirstPage;
-    break;
-  default:
-    Config.Interior = InteriorPolicy::All;
-    break;
-  }
-  switch (C->blacklist_mode) {
-  case CGC_BLACKLIST_OFF:
-    Config.Blacklist = BlacklistMode::Off;
-    break;
-  case CGC_BLACKLIST_HASHED:
-    Config.Blacklist = BlacklistMode::Hashed;
-    break;
-  default:
-    Config.Blacklist = BlacklistMode::FlatBitmap;
-    break;
-  }
-  Config.BlacklistAging = C->blacklist_aging != 0;
-  if (C->hashed_blacklist_bits_log2)
-    Config.HashedBlacklistBitsLog2 = C->hashed_blacklist_bits_log2;
-  Config.GcAtStartup = C->gc_at_startup != 0;
-  Config.LazySweep = C->lazy_sweep != 0;
-  if (C->root_scan_alignment == 1 || C->root_scan_alignment == 2 ||
-      C->root_scan_alignment == 4 || C->root_scan_alignment == 8)
-    Config.RootScanAlignment = C->root_scan_alignment;
-  if (C->heap_scan_alignment == 1 || C->heap_scan_alignment == 2 ||
-      C->heap_scan_alignment == 4 || C->heap_scan_alignment == 8)
-    Config.HeapScanAlignment = C->heap_scan_alignment;
-  if (C->mark_threads)
-    Config.MarkThreads = C->mark_threads;
-  if (C->sweep_threads)
-    Config.SweepThreads = C->sweep_threads;
-  if (C->root_scan_threads)
-    Config.RootScanThreads = C->root_scan_threads;
-  if (C->mutator_threads)
-    Config.MutatorThreads = C->mutator_threads;
-  if (C->thread_cache_slots)
-    Config.ThreadCacheSlots = C->thread_cache_slots;
-  Config.PreciseFreeSlotDetection = C->precise_free_slot_detection != 0;
-  if (C->collect_before_growth_ratio > 0)
-    Config.CollectBeforeGrowthRatio = C->collect_before_growth_ratio;
-  if (C->min_heap_bytes_before_gc)
-    Config.MinHeapBytesBeforeGc = C->min_heap_bytes_before_gc;
-  Config.StackClearing = C->stack_clearing == CGC_STACK_CLEAR_CHEAP
-                             ? StackClearMode::Cheap
-                             : StackClearMode::Off;
-  if (C->stack_clear_chunk_bytes)
-    Config.StackClearChunkBytes = C->stack_clear_chunk_bytes;
-  if (C->stack_clear_every_n_allocs)
-    Config.StackClearEveryNAllocs = C->stack_clear_every_n_allocs;
-  Config.AvoidTrailingZeroAddresses = C->avoid_trailing_zero_addresses != 0;
-  Config.ClearFreedObjects = C->clear_freed_objects != 0;
-  Config.AddressOrderedAllocation = C->address_ordered_allocation != 0;
-  Config.VerifyEveryCollection = C->verify_every_collection != 0;
-  Config.Sentinel = convertSentinelPolicy(&C->sentinel);
-  Config.DebugGuards = C->debug_guards != 0;
-  Config.GuardFatal = C->guard_fatal != 0;
-  // Unlike most numeric fields, 0 is meaningful here (release freed
-  // guarded objects immediately); cgc_config_init seeds the default.
-  Config.QuarantineSlots = C->quarantine_slots;
-  Config.HandshakeDeadlineMs = C->handshake_deadline_ms;
-  Config.HandshakeFatal = C->handshake_fatal != 0;
-  // 0 (default signal) and negative (rung disabled) are both
-  // meaningful; copy verbatim.
-  Config.SuspendSignal = C->suspend_signal;
-  Config.SealMetadata = C->seal_metadata != 0;
-  Config.RepairFatal = C->repair_fatal != 0;
-  return Config;
+/// The one list of cgc_config fields, each beside its rule; ReadFromC
+/// walks it with a const C side, WriteToC with a const C++ side.
+template <class Mapper, class CConfig, class Config>
+void mapConfig(Mapper &&M, CConfig &C, Config &Cxx) {
+  M.positive(C.window_bytes, Cxx.WindowBytes);
+  M.positive(C.max_heap_bytes, Cxx.MaxHeapBytes);
+  M.choice(C.heap_placement, Cxx.Placement, HeapPlacement::Custom);
+  M.baseOffset(C.heap_base_offset, Cxx.Placement, Cxx.CustomHeapBaseOffset);
+  M.positive(C.heap_growth_pages, Cxx.HeapGrowthPages);
+  M.flag(C.decommit_freed_pages, Cxx.DecommitFreedPages);
+  M.choice(C.interior_policy, Cxx.Interior, InteriorPolicy::All);
+  M.choice(C.blacklist_mode, Cxx.Blacklist, BlacklistMode::Hashed);
+  M.flag(C.blacklist_aging, Cxx.BlacklistAging);
+  M.positive(C.hashed_blacklist_bits_log2, Cxx.HashedBlacklistBitsLog2);
+  M.flag(C.gc_at_startup, Cxx.GcAtStartup);
+  M.flag(C.lazy_sweep, Cxx.LazySweep);
+  M.alignment(C.root_scan_alignment, Cxx.RootScanAlignment);
+  M.alignment(C.heap_scan_alignment, Cxx.HeapScanAlignment);
+  M.positive(C.mark_threads, Cxx.MarkThreads);
+  M.positive(C.sweep_threads, Cxx.SweepThreads);
+  M.positive(C.root_scan_threads, Cxx.RootScanThreads);
+  M.positive(C.mutator_threads, Cxx.MutatorThreads);
+  M.positive(C.thread_cache_slots, Cxx.ThreadCacheSlots);
+  M.reserved(C.all_interior_pointers_avoid_spans);
+  M.flag(C.precise_free_slot_detection, Cxx.PreciseFreeSlotDetection);
+  M.positive(C.collect_before_growth_ratio, Cxx.CollectBeforeGrowthRatio);
+  M.positive(C.min_heap_bytes_before_gc, Cxx.MinHeapBytesBeforeGc);
+  M.choice(C.stack_clearing, Cxx.StackClearing, StackClearMode::Cheap);
+  M.positive(C.stack_clear_chunk_bytes, Cxx.StackClearChunkBytes);
+  M.positive(C.stack_clear_every_n_allocs, Cxx.StackClearEveryNAllocs);
+  M.flag(C.avoid_trailing_zero_addresses, Cxx.AvoidTrailingZeroAddresses);
+  M.flag(C.clear_freed_objects, Cxx.ClearFreedObjects);
+  M.flag(C.address_ordered_allocation, Cxx.AddressOrderedAllocation);
+  M.flag(C.verify_every_collection, Cxx.VerifyEveryCollection);
+  mapSentinelPolicy(M, C.sentinel, Cxx.Sentinel);
+  M.flag(C.debug_guards, Cxx.DebugGuards);
+  M.flag(C.guard_fatal, Cxx.GuardFatal);
+  M.exact(C.quarantine_slots, Cxx.QuarantineSlots);
+  M.exact(C.handshake_deadline_ms, Cxx.HandshakeDeadlineMs);
+  M.flag(C.handshake_fatal, Cxx.HandshakeFatal);
+  M.exact(C.suspend_signal, Cxx.SuspendSignal);
+  M.flag(C.seal_metadata, Cxx.SealMetadata);
+  M.flag(C.repair_fatal, Cxx.RepairFatal);
 }
+
+} // namespace
 
 extern "C" {
 
-/// Fills a cgc_config from a GcConfig — the single source of truth for
-/// both cgc_config_init (from a default GcConfig) and
-/// cgc_current_config (from a live collector's GcConfig), so the C
-/// mirror cannot drift from the C++ struct in one place but not the
-/// other.
-static void fillCConfig(cgc_config *Out, const GcConfig &In) {
-  Out->window_bytes = In.WindowBytes;
-  Out->max_heap_bytes = In.MaxHeapBytes;
-  Out->heap_base_offset =
-      In.Placement == HeapPlacement::Custom ? In.CustomHeapBaseOffset : 0;
-  switch (In.Placement) {
-  case HeapPlacement::LowSbrk:
-    Out->heap_placement = CGC_PLACEMENT_LOW_SBRK;
-    break;
-  case HeapPlacement::HighBitsMixed:
-    Out->heap_placement = CGC_PLACEMENT_HIGH_BITS_MIXED;
-    break;
-  case HeapPlacement::AsciiRange:
-    Out->heap_placement = CGC_PLACEMENT_ASCII_RANGE;
-    break;
-  case HeapPlacement::Custom:
-    Out->heap_placement = CGC_PLACEMENT_CUSTOM;
-    break;
-  }
-  Out->heap_growth_pages = In.HeapGrowthPages;
-  Out->decommit_freed_pages = In.DecommitFreedPages ? 1 : 0;
-  switch (In.Interior) {
-  case InteriorPolicy::BaseOnly:
-    Out->interior_policy = CGC_INTERIOR_BASE_ONLY;
-    break;
-  case InteriorPolicy::FirstPage:
-    Out->interior_policy = CGC_INTERIOR_FIRST_PAGE;
-    break;
-  case InteriorPolicy::All:
-    Out->interior_policy = CGC_INTERIOR_ALL;
-    break;
-  }
-  switch (In.Blacklist) {
-  case BlacklistMode::Off:
-    Out->blacklist_mode = CGC_BLACKLIST_OFF;
-    break;
-  case BlacklistMode::FlatBitmap:
-    Out->blacklist_mode = CGC_BLACKLIST_FLAT;
-    break;
-  case BlacklistMode::Hashed:
-    Out->blacklist_mode = CGC_BLACKLIST_HASHED;
-    break;
-  }
-  Out->blacklist_aging = In.BlacklistAging ? 1 : 0;
-  Out->hashed_blacklist_bits_log2 = In.HashedBlacklistBitsLog2;
-  Out->gc_at_startup = In.GcAtStartup ? 1 : 0;
-  Out->lazy_sweep = In.LazySweep ? 1 : 0;
-  Out->root_scan_alignment = In.RootScanAlignment;
-  Out->heap_scan_alignment = In.HeapScanAlignment;
-  Out->mark_threads = In.MarkThreads;
-  Out->sweep_threads = In.SweepThreads;
-  Out->root_scan_threads = In.RootScanThreads;
-  Out->mutator_threads = In.MutatorThreads;
-  Out->thread_cache_slots = In.ThreadCacheSlots;
-  Out->all_interior_pointers_avoid_spans = 0;
-  Out->precise_free_slot_detection = In.PreciseFreeSlotDetection ? 1 : 0;
-  Out->collect_before_growth_ratio = In.CollectBeforeGrowthRatio;
-  Out->min_heap_bytes_before_gc = In.MinHeapBytesBeforeGc;
-  Out->stack_clearing = In.StackClearing == StackClearMode::Cheap
-                            ? CGC_STACK_CLEAR_CHEAP
-                            : CGC_STACK_CLEAR_OFF;
-  Out->stack_clear_chunk_bytes = In.StackClearChunkBytes;
-  Out->stack_clear_every_n_allocs = In.StackClearEveryNAllocs;
-  Out->avoid_trailing_zero_addresses =
-      In.AvoidTrailingZeroAddresses ? 1 : 0;
-  Out->clear_freed_objects = In.ClearFreedObjects ? 1 : 0;
-  Out->address_ordered_allocation = In.AddressOrderedAllocation ? 1 : 0;
-  Out->verify_every_collection = In.VerifyEveryCollection ? 1 : 0;
-  Out->sentinel.enabled = In.Sentinel.Enabled ? 1 : 0;
-  Out->sentinel.window_collections = In.Sentinel.WindowCollections;
-  Out->sentinel.growth_floor_bytes = In.Sentinel.GrowthFloorBytes;
-  Out->sentinel.growth_slope_fraction = In.Sentinel.GrowthSlopeFraction;
-  Out->sentinel.min_growing_deltas = In.Sentinel.MinGrowingDeltas;
-  Out->sentinel.escalation_cooldown = In.Sentinel.EscalationCooldown;
-  Out->sentinel.tighten_cycles = In.Sentinel.TightenCycles;
-  Out->sentinel.calm_collections = In.Sentinel.CalmCollections;
-  Out->debug_guards = In.DebugGuards ? 1 : 0;
-  Out->guard_fatal = In.GuardFatal ? 1 : 0;
-  Out->quarantine_slots = In.QuarantineSlots;
-  Out->handshake_deadline_ms = In.HandshakeDeadlineMs;
-  Out->handshake_fatal = In.HandshakeFatal ? 1 : 0;
-  Out->suspend_signal = In.SuspendSignal;
-  Out->seal_metadata = In.SealMetadata ? 1 : 0;
-  Out->repair_fatal = In.RepairFatal ? 1 : 0;
-}
-
 void cgc_config_init(cgc_config *Config) {
-  if (!Config)
-    return;
-  fillCConfig(Config, GcConfig());
+  const GcConfig Defaults{};
+  if (Config)
+    mapConfig(WriteToC(), *Config, Defaults);
 }
 
 cgc_collector *cgc_create(const cgc_config *Config) {
-  return new cgc_collector(convertConfig(Config));
+  GcConfig Resolved;
+  if (Config)
+    mapConfig(ReadFromC(), *Config, Resolved);
+  return new cgc_collector(Resolved);
 }
 
 void cgc_destroy(cgc_collector *GC) { delete GC; }
@@ -413,9 +312,8 @@ void cgc_unregister_thread(cgc_collector *GC) {
 void cgc_safepoint(cgc_collector *GC) { GC->GC.safepoint(); }
 
 void cgc_current_config(cgc_collector *GC, cgc_config *Out) {
-  if (!Out)
-    return;
-  fillCConfig(Out, GC->GC.config());
+  if (Out)
+    mapConfig(WriteToC(), *Out, GC->GC.config());
 }
 
 /// Trampolines bridging the C++ handler signatures (uint64_t) onto the
@@ -458,6 +356,33 @@ size_t cgc_verify_heap(cgc_collector *GC, char *Report,
   return Result.Issues.size();
 }
 
+// The configuration enums map through one range-checked cast in
+// ReadFromC::choice, so the C constants must equal the enumerators.
+static_assert(CGC_INTERIOR_BASE_ONLY ==
+                      static_cast<int>(InteriorPolicy::BaseOnly) &&
+                  CGC_INTERIOR_FIRST_PAGE ==
+                      static_cast<int>(InteriorPolicy::FirstPage) &&
+                  CGC_INTERIOR_ALL == static_cast<int>(InteriorPolicy::All),
+              "CGC_INTERIOR_* drifted from InteriorPolicy");
+static_assert(CGC_BLACKLIST_OFF == static_cast<int>(BlacklistMode::Off) &&
+                  CGC_BLACKLIST_FLAT ==
+                      static_cast<int>(BlacklistMode::FlatBitmap) &&
+                  CGC_BLACKLIST_HASHED ==
+                      static_cast<int>(BlacklistMode::Hashed),
+              "CGC_BLACKLIST_* drifted from BlacklistMode");
+static_assert(CGC_PLACEMENT_HIGH_BITS_MIXED ==
+                      static_cast<int>(HeapPlacement::HighBitsMixed) &&
+                  CGC_PLACEMENT_LOW_SBRK ==
+                      static_cast<int>(HeapPlacement::LowSbrk) &&
+                  CGC_PLACEMENT_ASCII_RANGE ==
+                      static_cast<int>(HeapPlacement::AsciiRange) &&
+                  CGC_PLACEMENT_CUSTOM ==
+                      static_cast<int>(HeapPlacement::Custom),
+              "CGC_PLACEMENT_* drifted from HeapPlacement");
+static_assert(CGC_STACK_CLEAR_OFF == static_cast<int>(StackClearMode::Off) &&
+                  CGC_STACK_CLEAR_CHEAP ==
+                      static_cast<int>(StackClearMode::Cheap),
+              "CGC_STACK_CLEAR_* drifted from StackClearMode");
 // The C mirrors must track the C++ enums value-for-value; a drift here
 // would silently mistranslate every streamed finding.
 static_assert(CGC_VERIFY_GENERIC ==
@@ -682,22 +607,17 @@ unsigned long long cgc_blacklisted_pages(cgc_collector *GC) {
 void cgc_dump(cgc_collector *GC) { GC->GC.printReport(stderr); }
 
 void cgc_sentinel_policy_init(cgc_sentinel_policy *Policy) {
-  if (!Policy)
-    return;
-  SentinelPolicy Defaults;
-  Policy->enabled = Defaults.Enabled ? 1 : 0;
-  Policy->window_collections = Defaults.WindowCollections;
-  Policy->growth_floor_bytes = Defaults.GrowthFloorBytes;
-  Policy->growth_slope_fraction = Defaults.GrowthSlopeFraction;
-  Policy->min_growing_deltas = Defaults.MinGrowingDeltas;
-  Policy->escalation_cooldown = Defaults.EscalationCooldown;
-  Policy->tighten_cycles = Defaults.TightenCycles;
-  Policy->calm_collections = Defaults.CalmCollections;
+  const SentinelPolicy Defaults{};
+  if (Policy)
+    mapSentinelPolicy(WriteToC(), *Policy, Defaults);
 }
 
 void cgc_sentinel_configure(cgc_collector *GC,
                             const cgc_sentinel_policy *Policy) {
-  GC->GC.configureSentinel(convertSentinelPolicy(Policy));
+  SentinelPolicy Resolved;
+  if (Policy)
+    mapSentinelPolicy(ReadFromC(), *Policy, Resolved);
+  GC->GC.configureSentinel(Resolved);
 }
 
 int cgc_sentinel_get_stats(cgc_collector *GC, cgc_sentinel_stats *Out) {

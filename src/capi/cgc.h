@@ -208,9 +208,13 @@ typedef struct cgc_config {
   int repair_fatal;                      /* boolean; default on        */
 } cgc_config;
 
-/* Fills *config with the library defaults.  Every field of the C++
- * GcConfig has a counterpart here, initialized to the same default;
- * cgc_current_config reads the resolved configuration back. */
+/* Fills *config with the library defaults: each field holds the same
+ * default as its C++ GcConfig counterpart, and cgc_current_config reads
+ * the resolved configuration back.  The GcConfig fields with no
+ * counterpart here are AllConservativeDescriptors, an ablation used only
+ * by tests and benches, and OomHandler/WarnProc with their data
+ * pointers, which are set through cgc_set_oom_handler and
+ * cgc_set_warn_proc. */
 void cgc_config_init(cgc_config *config);
 
 /* Creates/destroys a collector.  NULL config = defaults. */

@@ -42,12 +42,16 @@ void FlatBitmapBlacklist::refresh() {
   Current = SeenThisCycle;
 }
 
-HashedBlacklist::HashedBlacklist(unsigned BitsLog2, bool Aging)
-    : BitsLog2(BitsLog2), Current(size_t(1) << BitsLog2),
-      SeenThisCycle(size_t(1) << BitsLog2), Aging(Aging) {
+/// Range-checks \p BitsLog2 before any shift by it or allocation for it.
+static size_t hashedBlacklistBits(unsigned BitsLog2) {
   CGC_CHECK(BitsLog2 >= 4 && BitsLog2 <= 28,
             "hashed blacklist size out of range");
+  return size_t(1) << BitsLog2;
 }
+
+HashedBlacklist::HashedBlacklist(unsigned BitsLog2, bool Aging)
+    : BitsLog2(BitsLog2), Current(hashedBlacklistBits(BitsLog2)),
+      SeenThisCycle(Current.size()), Aging(Aging) {}
 
 void HashedBlacklist::noteCandidate(PageIndex Page) {
   ++Stats.CandidatesNoted;

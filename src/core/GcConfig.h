@@ -52,12 +52,12 @@ enum class BlacklistMode : unsigned char {
 /// Where the heap arena sits inside the window (§2's "properly
 /// positioning the heap in the address space").
 enum class HeapPlacement : unsigned char {
-  /// Just above a small program+static area, like a classic sbrk heap
-  /// (SPARC/SunOS).  Collides heavily with small-integer data.
-  LowSbrk,
   /// High-order bits neither all zeros nor all ones, above the ASCII
   /// four-byte-string range.  The recommended placement.
   HighBitsMixed,
+  /// Just above a small program+static area, like a classic sbrk heap
+  /// (SPARC/SunOS).  Collides heavily with small-integer data.
+  LowSbrk,
   /// Deliberately inside the range spanned by four ASCII bytes, to
   /// demonstrate character-data collisions.
   AsciiRange,

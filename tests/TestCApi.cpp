@@ -90,8 +90,171 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.sentinel.escalation_cooldown, D.Sentinel.EscalationCooldown);
   EXPECT_EQ(C.sentinel.tighten_cycles, D.Sentinel.TightenCycles);
   EXPECT_EQ(C.sentinel.calm_collections, D.Sentinel.CalmCollections);
+  EXPECT_EQ(C.debug_guards, D.DebugGuards ? 1 : 0);
+  EXPECT_EQ(C.guard_fatal, D.GuardFatal ? 1 : 0);
+  EXPECT_EQ(C.quarantine_slots, D.QuarantineSlots);
+  EXPECT_EQ(C.handshake_deadline_ms, D.HandshakeDeadlineMs);
+  EXPECT_EQ(C.handshake_fatal, D.HandshakeFatal ? 1 : 0);
+  EXPECT_EQ(C.suspend_signal, D.SuspendSignal);
   EXPECT_EQ(C.seal_metadata, D.SealMetadata ? 1 : 0);
   EXPECT_EQ(C.repair_fatal, D.RepairFatal ? 1 : 0);
+}
+
+// One row per field rule of the C mirror, read back through
+// cgc_current_config: counts keep the default at 0, ratios at <= 0,
+// alignments outside 1/2/4/8 and unknown enum values keep the default,
+// exact fields copy verbatim, a legacy heap_base_offset forces Custom
+// placement, and the reserved field reads back 0.
+TEST(CApi, ConfigFieldRulesReadBack) {
+  struct Row {
+    const char *Rule;
+    void (*Set)(cgc_config &In);
+    void (*Expect)(const cgc_config &Out, const cgc_config &Def);
+    void (*AfterCreate)(cgc_collector *GC);
+  };
+#define KEEPS_DEFAULT(Field, Value)                                          \
+  Row{#Field " = " #Value " keeps the default",                              \
+      [](cgc_config &In) { In.Field = Value; },                              \
+      [](const cgc_config &Out, const cgc_config &Def) {                     \
+        EXPECT_EQ(Out.Field, Def.Field);                                     \
+      },                                                                     \
+      nullptr}
+  const Row Rows[] = {
+      KEEPS_DEFAULT(window_bytes, 0),
+      KEEPS_DEFAULT(max_heap_bytes, 0),
+      KEEPS_DEFAULT(heap_growth_pages, 0),
+      KEEPS_DEFAULT(hashed_blacklist_bits_log2, 0),
+      KEEPS_DEFAULT(mark_threads, 0),
+      KEEPS_DEFAULT(sweep_threads, 0),
+      KEEPS_DEFAULT(root_scan_threads, 0),
+      KEEPS_DEFAULT(mutator_threads, 0),
+      KEEPS_DEFAULT(thread_cache_slots, 0),
+      KEEPS_DEFAULT(min_heap_bytes_before_gc, 0),
+      KEEPS_DEFAULT(stack_clear_chunk_bytes, 0),
+      KEEPS_DEFAULT(stack_clear_every_n_allocs, 0),
+      KEEPS_DEFAULT(sentinel.window_collections, 0),
+      KEEPS_DEFAULT(sentinel.growth_floor_bytes, 0),
+      KEEPS_DEFAULT(sentinel.escalation_cooldown, 0),
+      KEEPS_DEFAULT(sentinel.tighten_cycles, 0),
+      KEEPS_DEFAULT(sentinel.calm_collections, 0),
+      KEEPS_DEFAULT(collect_before_growth_ratio, 0),
+      KEEPS_DEFAULT(collect_before_growth_ratio, -1),
+      KEEPS_DEFAULT(sentinel.growth_slope_fraction, 0),
+      KEEPS_DEFAULT(sentinel.growth_slope_fraction, -1),
+      KEEPS_DEFAULT(interior_policy, -1),
+      KEEPS_DEFAULT(interior_policy, 99),
+      KEEPS_DEFAULT(blacklist_mode, -1),
+      KEEPS_DEFAULT(blacklist_mode, 99),
+      KEEPS_DEFAULT(heap_placement, -1),
+      KEEPS_DEFAULT(heap_placement, 99),
+      KEEPS_DEFAULT(stack_clearing, -1),
+      KEEPS_DEFAULT(stack_clearing, 99),
+      KEEPS_DEFAULT(root_scan_alignment, 0),
+      KEEPS_DEFAULT(root_scan_alignment, 3),
+      KEEPS_DEFAULT(root_scan_alignment, 16),
+      KEEPS_DEFAULT(heap_scan_alignment, 0),
+      KEEPS_DEFAULT(heap_scan_alignment, 3),
+      KEEPS_DEFAULT(heap_scan_alignment, 16),
+      {"LOW_SBRK round-trips with no offset",
+       [](cgc_config &In) { In.heap_placement = CGC_PLACEMENT_LOW_SBRK; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_LOW_SBRK);
+         EXPECT_EQ(Out.heap_base_offset, 0u);
+       },
+       nullptr},
+      {"ASCII_RANGE round-trips with no offset",
+       [](cgc_config &In) { In.heap_placement = CGC_PLACEMENT_ASCII_RANGE; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_ASCII_RANGE);
+         EXPECT_EQ(Out.heap_base_offset, 0u);
+       },
+       nullptr},
+      {"legacy heap_base_offset forces CUSTOM over the default placement",
+       [](cgc_config &In) { In.heap_base_offset = 16ULL << 20; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_CUSTOM);
+         EXPECT_EQ(Out.heap_base_offset, 16ULL << 20);
+       },
+       nullptr},
+      {"legacy heap_base_offset forces CUSTOM over LOW_SBRK",
+       [](cgc_config &In) {
+         In.heap_placement = CGC_PLACEMENT_LOW_SBRK;
+         In.heap_base_offset = 16ULL << 20;
+       },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_CUSTOM);
+         EXPECT_EQ(Out.heap_base_offset, 16ULL << 20);
+       },
+       nullptr},
+      {"CUSTOM uses heap_base_offset even when it is 0",
+       [](cgc_config &In) { In.heap_placement = CGC_PLACEMENT_CUSTOM; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_CUSTOM);
+         EXPECT_EQ(Out.heap_base_offset, 0u);
+       },
+       nullptr},
+      {"the reserved field is ignored and reads back 0",
+       [](cgc_config &In) { In.all_interior_pointers_avoid_spans = 5; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.all_interior_pointers_avoid_spans, 0);
+       },
+       nullptr},
+      {"exact fields copy 0 verbatim",
+       [](cgc_config &In) {
+         In.quarantine_slots = 0;
+         In.handshake_deadline_ms = 0;
+         In.sentinel.min_growing_deltas = 0;
+       },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.quarantine_slots, 0u);
+         EXPECT_EQ(Out.handshake_deadline_ms, 0u);
+         EXPECT_EQ(Out.sentinel.min_growing_deltas, 0u);
+       },
+       nullptr},
+      {"a negative suspend_signal copies verbatim",
+       [](cgc_config &In) { In.suspend_signal = -1; },
+       [](const cgc_config &Out, const cgc_config &) {
+         EXPECT_EQ(Out.suspend_signal, -1);
+       },
+       nullptr},
+      {"cgc_sentinel_configure(NULL) restores the default policy",
+       [](cgc_config &In) {
+         In.sentinel.enabled = 1;
+         In.sentinel.window_collections = 6;
+         In.sentinel.min_growing_deltas = 4;
+       },
+       [](const cgc_config &Out, const cgc_config &Def) {
+         EXPECT_EQ(Out.sentinel.enabled, Def.sentinel.enabled);
+         EXPECT_EQ(Out.sentinel.window_collections,
+                   Def.sentinel.window_collections);
+         EXPECT_EQ(Out.sentinel.min_growing_deltas,
+                   Def.sentinel.min_growing_deltas);
+       },
+       [](cgc_collector *GC) { cgc_sentinel_configure(GC, nullptr); }},
+  };
+#undef KEEPS_DEFAULT
+
+  cgc_config Def;
+  cgc_config_init(&Def);
+  // The row is named by hand, not with SCOPED_TRACE: gtest keeps the
+  // trace stack where the malloc-redirect shim's collector cannot see
+  // it, and this test also runs under the shim.
+  for (const Row &R : Rows) {
+    cgc_config In = Def;
+    In.max_heap_bytes = 32ULL << 20;
+    In.gc_at_startup = 0;
+    R.Set(In);
+    cgc_collector *GC = cgc_create(&In);
+    ASSERT_NE(GC, nullptr) << R.Rule;
+    if (R.AfterCreate)
+      R.AfterCreate(GC);
+    cgc_config Out;
+    cgc_current_config(GC, &Out);
+    bool FailedBefore = HasFailure();
+    R.Expect(Out, Def);
+    EXPECT_EQ(HasFailure(), FailedBefore) << "in row: " << R.Rule;
+    cgc_destroy(GC);
+  }
 }
 
 // Every field set to a non-default value must round-trip through
@@ -136,6 +299,9 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.sentinel.escalation_cooldown = 3;
   In.sentinel.tighten_cycles = 12;
   In.sentinel.calm_collections = 7;
+  In.handshake_deadline_ms = 250;
+  In.handshake_fatal = 1;
+  In.suspend_signal = -1; // Installs no signal handler.
   In.seal_metadata = 1;
   In.repair_fatal = 0;
 
@@ -185,8 +351,30 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.sentinel.escalation_cooldown, In.sentinel.escalation_cooldown);
   EXPECT_EQ(Out.sentinel.tighten_cycles, In.sentinel.tighten_cycles);
   EXPECT_EQ(Out.sentinel.calm_collections, In.sentinel.calm_collections);
+  EXPECT_EQ(Out.handshake_deadline_ms, In.handshake_deadline_ms);
+  EXPECT_EQ(Out.handshake_fatal, In.handshake_fatal);
+  EXPECT_EQ(Out.suspend_signal, In.suspend_signal);
   EXPECT_EQ(Out.seal_metadata, In.seal_metadata);
   EXPECT_EQ(Out.repair_fatal, In.repair_fatal);
+  cgc_destroy(GC);
+
+  // The guarded-heap fields need their own input: debug_guards forces
+  // lazy_sweep off, which would clash with lazy_sweep = 1 above.
+  cgc_config Guarded;
+  cgc_config_init(&Guarded);
+  Guarded.max_heap_bytes = 32ULL << 20;
+  Guarded.gc_at_startup = 0;
+  Guarded.debug_guards = 1;
+  Guarded.guard_fatal = 0;
+  Guarded.quarantine_slots = 17;
+  GC = cgc_create(&Guarded);
+  ASSERT_NE(GC, nullptr);
+  std::memset(&Out, 0xff, sizeof(Out));
+  cgc_current_config(GC, &Out);
+  EXPECT_EQ(Out.debug_guards, 1);
+  EXPECT_EQ(Out.guard_fatal, 0);
+  EXPECT_EQ(Out.quarantine_slots, 17u);
+  EXPECT_EQ(Out.lazy_sweep, 0);
   cgc_destroy(GC);
 }
 

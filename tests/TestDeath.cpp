@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "baseline/ExplicitHeap.h"
+#include "capi/cgc.h"
 #include "core/Collector.h"
 #include "support/CrashReporter.h"
 #include <cstdlib>
@@ -99,6 +100,22 @@ TEST(DeathTest, HeapArenaMustFitWindow) {
   Config.CustomHeapBaseOffset = 30 << 20;
   Config.MaxHeapBytes = 16 << 20; // 30 + 16 > 32 MiB.
   EXPECT_DEATH({ Collector GC(Config); }, "does not fit the window");
+}
+
+// The size check must run before the blacklist shifts by or allocates
+// for the requested width: 64 would be an out-of-range shift, and 40
+// asks for a 128 GiB bit vector.
+TEST(DeathTest, HashedBlacklistWidthCheckedBeforeAllocating) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (unsigned BitsLog2 : {40u, 64u}) {
+    SCOPED_TRACE(BitsLog2);
+    cgc_config Config;
+    cgc_config_init(&Config);
+    Config.max_heap_bytes = 32ULL << 20;
+    Config.blacklist_mode = CGC_BLACKLIST_HASHED;
+    Config.hashed_blacklist_bits_log2 = BitsLog2;
+    EXPECT_DEATH(cgc_create(&Config), "hashed blacklist size out of range");
+  }
 }
 
 TEST(DeathTest, FinalizerOnNonObjectAborts) {
