@@ -116,7 +116,8 @@ struct ReadFromC {
       Offset = C;
     }
   }
-  void reserved(const int &) {}
+  /// A reserved field is ignored.
+  void reserved(const int &, int) {}
 };
 
 /// Writes each resolved C++ field back into its C counterpart.
@@ -132,7 +133,8 @@ struct WriteToC {
                   const uint64_t &Offset) {
     C = Placement == HeapPlacement::Custom ? Offset : 0;
   }
-  void reserved(int &C) { C = 0; }
+  /// A reserved field reads back \p Fixed.
+  void reserved(int &C, int Fixed) { C = Fixed; }
 };
 
 /// The one list of cgc_sentinel_policy fields, each beside its rule.
@@ -158,7 +160,7 @@ void mapConfig(Mapper &&M, CConfig &C, Config &Cxx) {
   M.choice(C.heap_placement, Cxx.Placement, HeapPlacement::Custom);
   M.baseOffset(C.heap_base_offset, Cxx.Placement, Cxx.CustomHeapBaseOffset);
   M.positive(C.heap_growth_pages, Cxx.HeapGrowthPages);
-  M.flag(C.decommit_freed_pages, Cxx.DecommitFreedPages);
+  M.reserved(C.decommit_freed_pages, 1);
   M.choice(C.interior_policy, Cxx.Interior, InteriorPolicy::All);
   M.choice(C.blacklist_mode, Cxx.Blacklist, BlacklistMode::Hashed);
   M.flag(C.blacklist_aging, Cxx.BlacklistAging);
@@ -172,16 +174,16 @@ void mapConfig(Mapper &&M, CConfig &C, Config &Cxx) {
   M.positive(C.root_scan_threads, Cxx.RootScanThreads);
   M.positive(C.mutator_threads, Cxx.MutatorThreads);
   M.positive(C.thread_cache_slots, Cxx.ThreadCacheSlots);
-  M.reserved(C.all_interior_pointers_avoid_spans);
-  M.flag(C.precise_free_slot_detection, Cxx.PreciseFreeSlotDetection);
+  M.reserved(C.all_interior_pointers_avoid_spans, 0);
+  M.reserved(C.precise_free_slot_detection, 0);
   M.positive(C.collect_before_growth_ratio, Cxx.CollectBeforeGrowthRatio);
   M.positive(C.min_heap_bytes_before_gc, Cxx.MinHeapBytesBeforeGc);
   M.choice(C.stack_clearing, Cxx.StackClearing, StackClearMode::Cheap);
   M.positive(C.stack_clear_chunk_bytes, Cxx.StackClearChunkBytes);
   M.positive(C.stack_clear_every_n_allocs, Cxx.StackClearEveryNAllocs);
   M.flag(C.avoid_trailing_zero_addresses, Cxx.AvoidTrailingZeroAddresses);
-  M.flag(C.clear_freed_objects, Cxx.ClearFreedObjects);
-  M.flag(C.address_ordered_allocation, Cxx.AddressOrderedAllocation);
+  M.reserved(C.clear_freed_objects, 1);
+  M.reserved(C.address_ordered_allocation, 1);
   M.flag(C.verify_every_collection, Cxx.VerifyEveryCollection);
   mapSentinelPolicy(M, C.sentinel, Cxx.Sentinel);
   M.flag(C.debug_guards, Cxx.DebugGuards);

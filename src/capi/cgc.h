@@ -110,7 +110,7 @@ typedef struct cgc_config {
    * for any value; only mark wall-clock time changes.  Clamped to 64.
    */
   unsigned mark_threads;
-  int all_interior_pointers_avoid_spans; /* reserved; must be 0        */
+  int all_interior_pointers_avoid_spans; /* reserved; ignored, reads back 0 */
   /* Sweep-phase worker threads.  0 or 1 = the paper's sequential
    * sweep (the default); N > 1 shards the block list across the same
    * persistent worker pool the mark phase uses.  The retained set,
@@ -135,18 +135,18 @@ typedef struct cgc_config {
   unsigned thread_cache_slots;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
   unsigned heap_growth_pages;            /* 0 = default (256)          */
-  int decommit_freed_pages;              /* boolean                    */
+  int decommit_freed_pages;              /* reserved; ignored, reads back 1 */
   unsigned heap_scan_alignment;          /* 1, 2, 4, or 8; 0 = default */
   unsigned hashed_blacklist_bits_log2;   /* 0 = default (16)           */
-  int precise_free_slot_detection;       /* boolean                    */
+  int precise_free_slot_detection;       /* reserved; ignored, reads back 0 */
   double collect_before_growth_ratio;    /* <= 0 = default (0.5)       */
   unsigned long long min_heap_bytes_before_gc; /* 0 = default (1 MiB)  */
   int stack_clearing;                    /* CGC_STACK_CLEAR_*          */
   unsigned stack_clear_chunk_bytes;      /* 0 = default (4096)         */
   unsigned stack_clear_every_n_allocs;   /* 0 = default (64)           */
   int avoid_trailing_zero_addresses;     /* boolean                    */
-  int clear_freed_objects;               /* boolean                    */
-  int address_ordered_allocation;        /* boolean                    */
+  int clear_freed_objects;               /* reserved; ignored, reads back 1 */
+  int address_ordered_allocation;        /* reserved; ignored, reads back 1 */
   /* Run the deep heap verifier after every collection phase and abort
    * with a full diagnostic report on any inconsistency.  Expensive
    * (O(heap) per phase); meant for fuzzing and debugging.  Also
@@ -214,7 +214,11 @@ typedef struct cgc_config {
  * counterpart here are AllConservativeDescriptors, an ablation used only
  * by tests and benches, and OomHandler/WarnProc with their data
  * pointers, which are set through cgc_set_oom_handler and
- * cgc_set_warn_proc. */
+ * cgc_set_warn_proc.  The reserved fields have no GcConfig counterpart:
+ * they keep the struct layout, are ignored on input, and read back the
+ * collector's fixed behaviour (freed pages decommitted, freed objects
+ * cleared, address-ordered allocation, free slots pinned by false
+ * references). */
 void cgc_config_init(cgc_config *config);
 
 /* Creates/destroys a collector.  NULL config = defaults. */

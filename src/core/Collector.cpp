@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <new>
 #include <pthread.h>
@@ -64,7 +63,6 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
     MetaArena = std::make_unique<MetadataArena>();
   Pages = std::make_unique<PageAllocator>(*Arena, BasePage, MaxPages,
                                           Config.HeapGrowthPages,
-                                          Config.DecommitFreedPages,
                                           MetaArena.get());
   Map = std::make_unique<PageMap>(Arena->numPages(), MetaArena.get());
   Blocks = std::make_unique<BlockTable>(MetaArena.get());
@@ -79,8 +77,6 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
 
   ObjectHeapConfig HeapConfig;
   HeapConfig.AvoidTrailingZeroAddresses = Config.AvoidTrailingZeroAddresses;
-  HeapConfig.ClearFreedObjects = Config.ClearFreedObjects;
-  HeapConfig.AddressOrderedAllocation = Config.AddressOrderedAllocation;
   HeapConfig.LazySweep = Config.LazySweep;
   HeapConfig.Guards = Guards.get();
   HeapConfig.PointerPageConstraint = Config.Interior == InteriorPolicy::All
@@ -670,10 +666,6 @@ void *Collector::takeCached(MutatorThread *Self, const AllocRequest &Req) {
     return nullptr;
   Self->CacheAllocs.fetch_add(1, std::memory_order_relaxed);
   Self->CacheAllocBytes.fetch_add(SlotBytes, std::memory_order_relaxed);
-  // Fresh pages are OS-zeroed and reused slots were cleared at free
-  // time when ClearFreedObjects is on.
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, SlotBytes);
   return Result;
 }
 
@@ -790,11 +782,6 @@ void *Collector::allocateResolved(const AllocRequest &Req,
   // callback even returns; pin it for this cycle.
   if (InCollection)
     pinMidCycleAllocation(Result);
-  // Fresh pages are zero-filled by the OS; reused slots were cleared
-  // at free time when ClearFreedObjects is on.  Clear here otherwise
-  // so clients always see zeroed memory.
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Req.Bytes);
   // The class had no free slot to refill from: top the cache up from
   // whatever the slow path reclaimed or grew.
   if (Cached)

@@ -10,7 +10,10 @@
 /// experiment can switch exactly one technique on or off:
 /// blacklisting (and its representation), interior-pointer recognition,
 /// scan alignment, heap placement, trailing-zero avoidance, stack
-/// clearing, and the startup collection.
+/// clearing, and the startup collection.  What the paper fixes is not a
+/// knob: blocks are reused lowest address first, freed memory is zeroed
+/// (a slot when it is freed, a page run when it is released), and a
+/// false reference to a free slot pins it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,8 +135,6 @@ struct GcConfig {
   uint64_t MaxHeapBytes = uint64_t(256) << 20;
   /// Pages committed per growth step ("heap expansion increment").
   uint32_t HeapGrowthPages = 256;
-  /// Return freed page runs to the OS (reads as zeros afterwards).
-  bool DecommitFreedPages = true;
 
   InteriorPolicy Interior = InteriorPolicy::All;
 
@@ -242,12 +243,6 @@ struct GcConfig {
   /// this equivalence.
   bool AllConservativeDescriptors = false;
 
-  /// When the collector cannot tell a free slot from an allocated one
-  /// (the paper's collectors could not), a false reference to a free
-  /// slot pins it.  Setting this to true lets the collector reject such
-  /// candidates instead (modern ablation).
-  bool PreciseFreeSlotDetection = false;
-
   StackClearMode StackClearing = StackClearMode::Off;
   /// Bytes cleared per stack-clearing step.
   uint32_t StackClearChunkBytes = 4096;
@@ -256,8 +251,6 @@ struct GcConfig {
 
   // Object-heap policies (see ObjectHeapConfig).
   bool AvoidTrailingZeroAddresses = true;
-  bool ClearFreedObjects = true;
-  bool AddressOrderedAllocation = true;
   /// Defer small-block sweeping to allocation time (shorter collection
   /// pauses, same total work).  CollectionStats' live counts then come
   /// from the mark phase.

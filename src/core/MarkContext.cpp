@@ -113,8 +113,6 @@ ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
       return {};
     break;
   }
-  if (Config.PreciseFreeSlotDetection && !Block.AllocBits.test(SlotIdx))
-    return {};
   return {Id, SlotIdx};
 }
 

@@ -22,8 +22,8 @@
 ///      array (disjoint indices — no races).
 ///   3. sequential merge — dispositions applied in plan (block-id)
 ///      order, exactly the order the sequential sweep would, so class
-///      lists — including the LIFO ablation's stacks — come out
-///      bit-identical for any worker count; per-worker results summed.
+///      lists and recycled block ids come out bit-identical for any
+///      worker count; per-worker results summed.
 ///   4. finishSweep — sequential epilogue: large releases, stats.
 ///
 /// With SweepThreads == 1 the context calls the per-block steps inline

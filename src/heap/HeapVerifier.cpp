@@ -159,10 +159,7 @@ HeapVerifyReport HeapVerifier::run() {
                 Id, Block.ObjectCount, Block.AllocatedCount);
     // Every small block with usable space must be reachable by the
     // allocator: listed on its class list or queued for lazy sweep.
-    // (The LIFO ablation prunes its stacks lazily, so only the
-    // address-ordered discipline supports this check.)
-    if (!Block.IsLarge && Block.usableFreeCount() > 0 &&
-        Heap.Config.AddressOrderedAllocation) {
+    if (!Block.IsLarge && Block.usableFreeCount() > 0) {
       ObjectHeap::ClassList &List = Heap.classListFor(Block);
       bool Listed = List.Partial.count(Block.StartPage) != 0;
       bool Queued = false;
@@ -440,13 +437,11 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
   {
     for (ObjectHeap::ClassList &List : Heap.ClassLists) {
       List.Partial.clear();
-      List.Stack.clear();
       List.Unswept.clear();
     }
     for (auto &[Id, List] : Heap.TypedClassLists) {
       (void)Id;
       List.Partial.clear();
-      List.Stack.clear();
       List.Unswept.clear();
     }
     Heap.PendingSweeps = 0;

@@ -47,34 +47,10 @@ PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
   CGC_UNREACHABLE("bad object kind");
 }
 
-BlockId ObjectHeap::pickAllocationBlock(ClassList &List, ObjectKind Kind,
-                                        size_t SlotSize, LayoutId Layout) {
-  BlockId Id = InvalidBlockId;
-  if (Config.AddressOrderedAllocation) {
-    if (!List.Partial.empty())
-      Id = List.Partial.begin()->second;
-  } else {
-    // Prune stale stack entries (released blocks, reused ids, filled
-    // blocks) until a usable one surfaces.
-    while (!List.Stack.empty()) {
-      BlockId Top = List.Stack.back();
-      if (Blocks.isLive(Top)) {
-        BlockDescriptor &Candidate = Blocks.get(Top);
-        bool Matches = Layout != 0
-                           ? Candidate.LayoutId == Layout
-                           : (!Candidate.IsLarge && Candidate.Kind == Kind &&
-                              Candidate.ObjectSize == SlotSize);
-        if (Matches && Candidate.usableFreeCount() > 0) {
-          Id = Top;
-          break;
-        }
-      }
-      List.Stack.pop_back();
-    }
-  }
-  if (Id == InvalidBlockId)
-    Id = sweepUnsweptForAllocation(List);
-  return Id;
+BlockId ObjectHeap::pickAllocationBlock(ClassList &List) {
+  if (!List.Partial.empty())
+    return List.Partial.begin()->second;
+  return sweepUnsweptForAllocation(List);
 }
 
 void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind,
@@ -90,14 +66,12 @@ void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind,
       Layout != 0
           ? TypedClassLists[Layout]
           : ClassLists[size_t(Kind) * SizeClasses.numClasses() + Class];
-  size_t SlotSize = SizeClasses.classSize(Class);
 
-  BlockId Id = pickAllocationBlock(List, Kind, SlotSize, Layout);
+  BlockId Id = pickAllocationBlock(List);
   if (Id == InvalidBlockId)
     return nullptr;
 
-  BlockDescriptor &Block = Blocks.get(Id);
-  void *Result = takeSlot(Id, Block);
+  void *Result = takeSlot(Blocks.get(Id));
   Stats.BytesRequested += Bytes;
   return Result;
 }
@@ -106,30 +80,26 @@ void *ObjectHeap::reserveCacheSlot(unsigned Class) {
   ClassList &List =
       ClassLists[size_t(ObjectKind::Normal) * SizeClasses.numClasses() +
                  Class];
-  size_t SlotSize = SizeClasses.classSize(Class);
-  BlockId Id =
-      pickAllocationBlock(List, ObjectKind::Normal, SlotSize, /*Layout=*/0);
+  BlockId Id = pickAllocationBlock(List);
   if (Id == InvalidBlockId)
     return nullptr;
-  void *Result = takeSlot(Id, Blocks.get(Id));
+  void *Result = takeSlot(Blocks.get(Id));
   // A reservation is charged as a whole-slot allocation up front; a
   // release reverses it, so only slots the client really received stay
   // in the lifetime stats.
-  Stats.BytesRequested += SlotSize;
+  Stats.BytesRequested += SizeClasses.classSize(Class);
   ++CacheSlotDebt;
   return Result;
 }
 
 void *ObjectHeap::reserveTypedCacheSlot(LayoutId Layout) {
-  const TypeDescriptor &D = layout(Layout);
-  CGC_ASSERT(D.Class == DescriptorClass::Precise,
+  CGC_ASSERT(layout(Layout).Class == DescriptorClass::Precise,
              "typed cache slots come from Precise descriptors only");
   ClassList &List = TypedClassLists[Layout];
-  BlockId Id =
-      pickAllocationBlock(List, ObjectKind::Normal, D.SizeBytes, Layout);
+  BlockId Id = pickAllocationBlock(List);
   if (Id == InvalidBlockId)
     return nullptr;
-  void *Result = takeSlot(Id, Blocks.get(Id));
+  void *Result = takeSlot(Blocks.get(Id));
   Stats.BytesRequested += Blocks.get(Id).ObjectSize;
   ++CacheSlotDebt;
   return Result;
@@ -183,7 +153,7 @@ void ObjectHeap::markCachedSlotLive(const void *Ptr) {
   Block.MarkBits.set(Ref.Slot);
 }
 
-void *ObjectHeap::takeSlot(BlockId Id, BlockDescriptor &Block) {
+void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
   // Lowest-index usable slot: address order within the block.
   size_t Slot = 0;
   while (true) {
@@ -198,7 +168,7 @@ void *ObjectHeap::takeSlot(BlockId Id, BlockDescriptor &Block) {
   AllocatedBytes += Block.ObjectSize;
   ++Stats.ObjectsAllocated;
   if (Block.usableFreeCount() == 0)
-    removeFromClassList(Block, Id);
+    removeFromClassList(Block);
   WindowOffset Offset = Block.slotOffset(static_cast<uint32_t>(Slot));
   return Arena.pointerTo(Offset);
 }
@@ -326,9 +296,8 @@ void ObjectHeap::deallocateExplicit(void *Ptr) {
   bool WasFull = Block.usableFreeCount() == 0;
   Block.AllocBits.reset(Ref.Slot);
   --Block.AllocatedCount;
-  if (Config.ClearFreedObjects)
-    std::memset(Arena.pointerTo(Block.slotOffset(Ref.Slot)), 0,
-                Block.ObjectSize);
+  std::memset(Arena.pointerTo(Block.slotOffset(Ref.Slot)), 0,
+              Block.ObjectSize);
   if (WasFull)
     addToClassList(Block, Ref.Block);
 }
@@ -410,9 +379,8 @@ uint64_t ObjectHeap::sweepSmallBlockBody(BlockDescriptor &Block,
       BytesFreed += Block.ObjectSize;
       Result.BytesSweptFree += Block.ObjectSize;
       ++Result.ObjectsSweptFree;
-      if (Config.ClearFreedObjects)
-        std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
-                    Block.ObjectSize);
+      std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
+                  Block.ObjectSize);
     } else if (!Allocated && Marked) {
       Block.PinnedBits.set(Slot);
       ++Block.PinnedCount;
@@ -463,12 +431,10 @@ ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
   // its (eager or lazy) sweep or released.
   for (ClassList &List : ClassLists) {
     List.Partial.clear();
-    List.Stack.clear();
     List.Unswept.clear();
   }
   for (auto &[Id, List] : TypedClassLists) {
     List.Partial.clear();
-    List.Stack.clear();
     List.Unswept.clear();
   }
   PendingSweeps = 0;
@@ -681,7 +647,7 @@ void ObjectHeap::verifyHeap() {
 void ObjectHeap::releaseBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
   if (!Block.IsLarge)
-    removeFromClassList(Block, Id);
+    removeFromClassList(Block);
   Map.clearRun(Block.StartPage, Block.NumPages);
   Pages.freeRun(Block.StartPage, Block.NumPages);
   ++Stats.BlocksReleased;
@@ -689,19 +655,9 @@ void ObjectHeap::releaseBlock(BlockId Id) {
 }
 
 void ObjectHeap::addToClassList(BlockDescriptor &Block, BlockId Id) {
-  ClassList &List = classListFor(Block);
-  if (Config.AddressOrderedAllocation)
-    List.Partial.emplace(Block.StartPage, Id);
-  else
-    List.Stack.push_back(Id);
+  classListFor(Block).Partial.emplace(Block.StartPage, Id);
 }
 
-void ObjectHeap::removeFromClassList(BlockDescriptor &Block, BlockId Id) {
-  ClassList &List = classListFor(Block);
-  if (Config.AddressOrderedAllocation) {
-    List.Partial.erase(Block.StartPage);
-  } else {
-    // Stack entries are pruned lazily at allocation time.
-    (void)Id;
-  }
+void ObjectHeap::removeFromClassList(BlockDescriptor &Block) {
+  classListFor(Block).Partial.erase(Block.StartPage);
 }

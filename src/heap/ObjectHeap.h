@@ -24,7 +24,10 @@
 ///     (the Figure-1 integer-concatenation hazard).
 ///   * Per-class block selection is address-ordered (lowest block
 ///     first), the fragmentation-reducing discipline the paper's
-///     conclusions recommend; a LIFO mode exists for the ablation.
+///     conclusions recommend.
+///   * A slot is zeroed when it is freed (sweep or explicit free), and
+///     released page runs are decommitted, so every allocation hands
+///     out zeroed memory without clearing it again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +53,6 @@ struct ObjectHeapConfig {
   /// Offset the first slot of each small block by two granules so that
   /// no object lands on an address with ~12 trailing zero bits.
   bool AvoidTrailingZeroAddresses = true;
-  /// Zero an object's memory when it is freed (sweep or explicit free).
-  bool ClearFreedObjects = true;
-  /// Pick the lowest-address block with space when allocating (true)
-  /// versus the most recently freed-into block (false, LIFO ablation).
-  bool AddressOrderedAllocation = true;
   /// Page-run constraint for pointer-containing allocations; set from
   /// the collector's interior-pointer policy.
   PageConstraint PointerPageConstraint = PageConstraint::AllPagesClean;
@@ -158,8 +156,8 @@ public:
   //===--------------------------------------------------------------===//
 
   /// Reserves one free untyped Normal-kind slot of size class \p Class
-  /// for a thread cache, through the ordinary address-ordered (or LIFO)
-  /// block discipline.  nullptr when the class needs a new block.
+  /// for a thread cache, through the ordinary address-ordered block
+  /// discipline.  nullptr when the class needs a new block.
   void *reserveCacheSlot(unsigned Class);
 
   /// Reserves one free slot of Precise descriptor \p Id for a thread
@@ -298,8 +296,8 @@ public:
     /// Small collectable blocks to sweep, in block-id order (empty
     /// under LazySweep — those were queued instead).  Id order is the
     /// order the sequential sweep visits blocks, and the merge step
-    /// applies dispositions in this order so LIFO free lists come out
-    /// identical for any worker count.
+    /// applies dispositions in this order so recycled block ids and
+    /// free page runs come out identical for any worker count.
     std::vector<BlockId> SmallBlocks;
     /// Unmarked large blocks, released by finishSweep (the sequential
     /// sweep has always deferred large releases to after the small
@@ -396,21 +394,16 @@ private:
     /// Blocks of this (kind, class) with at least one usable slot,
     /// keyed by start page: begin() is the lowest-address block.
     std::map<PageIndex, BlockId> Partial;
-    /// LIFO stack used instead of Partial when address-ordered
-    /// allocation is disabled.
-    std::vector<BlockId> Stack;
     /// Lazy sweeping: blocks of this class queued by the last
-    /// collection, swept on demand when Partial/Stack run dry.
+    /// collection, swept on demand when Partial runs dry.
     std::vector<BlockId> Unswept;
   };
 
-  void *takeSlot(BlockId Id, BlockDescriptor &Block);
-  /// Picks the block the next slot of \p List should come from (address
-  /// order or pruned LIFO, then lazily-swept blocks); InvalidBlockId
-  /// when the class needs a fresh block.  \p Kind/\p SlotSize validate
-  /// stale LIFO stack entries; pass layout blocks through unchanged.
-  BlockId pickAllocationBlock(ClassList &List, ObjectKind Kind,
-                              size_t SlotSize, LayoutId Layout);
+  void *takeSlot(BlockDescriptor &Block);
+  /// Picks the block the next slot of \p List should come from (lowest
+  /// address, then lazily-swept blocks); InvalidBlockId when the class
+  /// needs a fresh block.
+  BlockId pickAllocationBlock(ClassList &List);
   BlockId createSmallBlock(size_t SlotSize, ObjectKind Kind,
                            LayoutId Layout);
   /// Guarded mode: re-checks the header canaries and redzone of every
@@ -423,7 +416,7 @@ private:
   /// \returns that block id, or InvalidBlockId.
   BlockId sweepUnsweptForAllocation(ClassList &List);
   void releaseBlock(BlockId Id);
-  void removeFromClassList(BlockDescriptor &Block, BlockId Id);
+  void removeFromClassList(BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);
   ClassList &classListFor(const BlockDescriptor &Block);
   PageConstraint constraintFor(ObjectKind Kind, bool Large) const;

@@ -9,10 +9,9 @@ using namespace cgc;
 
 PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
                              PageIndex MaxPages, uint32_t GrowthPages,
-                             bool DecommitFreed, MetadataArena *MetaArena)
+                             MetadataArena *MetaArena)
     : Arena(Arena), BasePage(BasePage), MaxPages(MaxPages),
-      GrowthPages(GrowthPages), DecommitFreed(DecommitFreed),
-      CommitLimit(BasePage),
+      GrowthPages(GrowthPages), CommitLimit(BasePage),
       FreeRuns(RunMap::key_compare(),
                MetadataAllocator<std::pair<const PageIndex, uint32_t>>(
                    MetaArena)),
@@ -117,7 +116,7 @@ void PageAllocator::freeRun(PageIndex Start, uint32_t NumPages) {
                 uint64_t(Start) + NumPages <= arenaLimitPage(),
             "freeing pages outside the heap arena");
 
-  if (DecommitFreed && Start < CommitLimit)
+  if (Start < CommitLimit)
     Arena.decommit(offsetOfPage(Start), uint64_t(NumPages) * PageSize);
 
   PageIndex End = Start + NumPages;

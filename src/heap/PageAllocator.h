@@ -70,12 +70,9 @@ public:
   /// \param BasePage     first page of the heap arena within the window.
   /// \param MaxPages     arena capacity; the heap never extends past it.
   /// \param GrowthPages  commit increment when the heap grows.
-  /// \param DecommitFreed return freed pages to the OS (zero-filled on
-  ///                      reuse).
   /// \param MetaArena    optional sealable arena for free-run nodes.
   PageAllocator(VirtualArena &Arena, PageIndex BasePage, PageIndex MaxPages,
-                uint32_t GrowthPages, bool DecommitFreed,
-                MetadataArena *MetaArena = nullptr);
+                uint32_t GrowthPages, MetadataArena *MetaArena = nullptr);
 
   /// Installs the per-page blacklist predicate (may be empty).
   void setBlacklistQuery(std::function<bool(PageIndex)> Query) {
@@ -88,7 +85,8 @@ public:
   std::optional<PageIndex> allocateRun(uint32_t NumPages,
                                        PageConstraint Constraint);
 
-  /// Returns a run to the free pool, coalescing with neighbors.
+  /// Returns a run to the free pool, coalescing with neighbors.  A
+  /// committed run is decommitted, so it reads as zeros when reused.
   void freeRun(PageIndex Start, uint32_t NumPages);
 
   /// First page of the heap arena (potential heap start).
@@ -136,7 +134,7 @@ public:
   /// Repair entry point: discards the (possibly corrupt) free-run set
   /// and re-adds \p Runs, which must be disjoint, ascending, and inside
   /// [arenaBasePage(), committedLimitPage()).  Freed pages are
-  /// decommitted per policy, exactly as an ordinary freeRun would.
+  /// decommitted, exactly as an ordinary freeRun would.
   void rebuildFreeRuns(
       const std::vector<std::pair<PageIndex, uint32_t>> &Runs);
 
@@ -165,7 +163,6 @@ private:
   PageIndex BasePage;
   PageIndex MaxPages;
   uint32_t GrowthPages;
-  bool DecommitFreed;
   PageIndex CommitLimit; ///< One past the last committed page.
   /// Free and quarantined runs live in the sealable arena (when one is
   /// configured) — their link structure is exactly the metadata a wild

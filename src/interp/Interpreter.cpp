@@ -258,11 +258,10 @@ Value Interpreter::evalString(std::string_view Program) {
 
 Value Interpreter::eval(Value Expr) { return evalIn(Expr, globalEnv()); }
 
-Value Interpreter::evalSequence(Value Body, Value Env) {
-  Value Result = Value::nil();
-  for (Value B = Body; B.isPair() && !Failed; B = cdr(B))
-    Result = evalIn(car(B), Env);
-  return Result;
+Value Interpreter::evalAllButLast(Value Body, Value Env) {
+  for (; Body.isPair() && cdr(Body).isPair() && !Failed; Body = cdr(Body))
+    evalIn(car(Body), Env);
+  return Body.isPair() ? car(Body) : Value::nil();
 }
 
 Value Interpreter::evalArgs(Value Exprs, Value Env) {
@@ -272,137 +271,148 @@ Value Interpreter::evalArgs(Value Exprs, Value Env) {
   return cons(Head, evalArgs(cdr(Exprs), Env));
 }
 
-Value Interpreter::apply(Value Fn, Value Args) {
-  if (Fn.Kind == Tag::Builtin)
-    return Fn.Builtin(*this, Args);
-  if (Fn.Kind != Tag::Closure)
-    return fail("application of a non-function");
-  Value Params = Fn.Object->Slots[0];
-  Value Body = Fn.Object->Slots[1];
-  Value Env = Fn.Object->Slots[2];
-  for (; Params.isPair(); Params = cdr(Params), Args = cdr(Args)) {
-    if (!Args.isPair())
-      return fail("too few arguments to closure");
-    Env = envBind(Env, car(Params), car(Args));
-  }
-  return evalSequence(Body, Env);
-}
-
 Value Interpreter::evalIn(Value Expr, Value Env) {
-  if (Failed)
-    return Value::nil();
-  switch (Expr.Kind) {
-  case Tag::Nil:
-  case Tag::Fixnum:
-  case Tag::Boolean:
-  case Tag::Closure:
-  case Tag::Builtin:
-    return Expr;
-  case Tag::Symbol: {
-    if (Value *Slot = envLookup(Env, Expr.Symbol))
-      return *Slot;
-    // Fall back to the live global environment so recursive and
-    // forward-referenced top-level definitions resolve.
-    if (Value *Slot = envLookup(globalEnv(), Expr.Symbol))
-      return *Slot;
-    return fail("unbound symbol '" + Symbols[Expr.Symbol] + "'");
-  }
-  case Tag::Pair:
-    break;
-  }
-
-  Value Head = car(Expr);
-  if (Head.isSymbol()) {
-    uint64_t S = Head.Symbol;
-    if (S == SymQuote)
-      return car(cdr(Expr));
-    if (S == SymIf) {
-      Value Test = evalIn(car(cdr(Expr)), Env);
-      if (Failed)
-        return Value::nil();
-      return Test.truthy() ? evalIn(car(cdr(cdr(Expr))), Env)
-                           : evalIn(car(cdr(cdr(cdr(Expr)))), Env);
-    }
-    if (S == SymLambda)
-      return makeClosure(car(cdr(Expr)), cdr(cdr(Expr)), Env);
-    if (S == SymDefine) {
-      Value Name = car(cdr(Expr));
-      if (!Name.isSymbol())
-        return fail("define requires a symbol name");
-      Value Bound = evalIn(car(cdr(cdr(Expr))), Env);
-      if (Failed)
-        return Value::nil();
-      Value NewGlobal = envBind(globalEnv(), Name, Bound);
-      GlobalEnvRoot = reinterpret_cast<uint64_t>(NewGlobal.Object);
-      return Bound;
-    }
-    if (S == SymBegin)
-      return evalSequence(cdr(Expr), Env);
-    if (S == SymLet) {
-      // (let ((name expr)...) body...)
-      Value NewEnv = Env;
-      for (Value B = car(cdr(Expr)); B.isPair() && !Failed; B = cdr(B)) {
-        Value Binding = car(B);
-        Value Bound = evalIn(car(cdr(Binding)), Env);
-        NewEnv = envBind(NewEnv, car(Binding), Bound);
-      }
-      return evalSequence(cdr(cdr(Expr)), NewEnv);
-    }
-    if (S == SymAnd) {
-      Value Result = Value::boolean(true);
-      for (Value B = cdr(Expr); B.isPair() && !Failed; B = cdr(B)) {
-        Result = evalIn(car(B), Env);
-        if (!Result.truthy())
-          return Result;
-      }
-      return Result;
-    }
-    if (S == SymOr) {
-      Value Result = Value::boolean(false);
-      for (Value B = cdr(Expr); B.isPair() && !Failed; B = cdr(B)) {
-        Result = evalIn(car(B), Env);
-        if (Result.truthy())
-          return Result;
-      }
-      return Result;
-    }
-    if (S == SymCond) {
-      // (cond (test body...)... (else body...))
-      for (Value C = cdr(Expr); C.isPair() && !Failed; C = cdr(C)) {
-        Value Clause = car(C);
-        Value Test = car(Clause);
-        bool IsElse = Test.isSymbol() && Test.Symbol == SymElse;
-        if (IsElse || evalIn(Test, Env).truthy())
-          return evalSequence(cdr(Clause), Env);
-      }
+  // Each pass evaluates one expression.  A tail position (the chosen
+  // if branch, the last body expression of begin, let, cond and a
+  // closure) replaces Expr and Env and loops instead of recursing, so
+  // a tail-recursive loop runs in constant C stack.
+  while (true) {
+    if (Failed)
       return Value::nil();
+    switch (Expr.Kind) {
+    case Tag::Nil:
+    case Tag::Fixnum:
+    case Tag::Boolean:
+    case Tag::Closure:
+    case Tag::Builtin:
+      return Expr;
+    case Tag::Symbol: {
+      if (Value *Slot = envLookup(Env, Expr.Symbol))
+        return *Slot;
+      // Fall back to the live global environment so recursive and
+      // forward-referenced top-level definitions resolve.
+      if (Value *Slot = envLookup(globalEnv(), Expr.Symbol))
+        return *Slot;
+      return fail("unbound symbol '" + Symbols[Expr.Symbol] + "'");
     }
-    if (S == SymSet) {
-      Value Name = car(cdr(Expr));
-      if (!Name.isSymbol())
-        return fail("set! requires a symbol name");
-      Value Bound = evalIn(car(cdr(cdr(Expr))), Env);
-      if (Failed)
-        return Value::nil();
-      // Mutate the nearest binding: lexical first, then global.
-      if (Value *Slot = envLookup(Env, Name.Symbol)) {
-        *Slot = Bound;
-        return Bound;
-      }
-      if (Value *Slot = envLookup(globalEnv(), Name.Symbol)) {
-        *Slot = Bound;
-        return Bound;
-      }
-      return fail("set! of unbound symbol '" + Symbols[Name.Symbol] +
-                  "'");
+    case Tag::Pair:
+      break;
     }
-  }
 
-  Value Fn = evalIn(Head, Env);
-  if (Failed)
-    return Value::nil();
-  Value Args = evalArgs(cdr(Expr), Env);
-  if (Failed)
-    return Value::nil();
-  return apply(Fn, Args);
+    Value Head = car(Expr);
+    if (Head.isSymbol()) {
+      uint64_t S = Head.Symbol;
+      if (S == SymQuote)
+        return car(cdr(Expr));
+      if (S == SymIf) {
+        Value Test = evalIn(car(cdr(Expr)), Env);
+        if (Failed)
+          return Value::nil();
+        Expr = Test.truthy() ? car(cdr(cdr(Expr)))
+                             : car(cdr(cdr(cdr(Expr))));
+        continue;
+      }
+      if (S == SymLambda)
+        return makeClosure(car(cdr(Expr)), cdr(cdr(Expr)), Env);
+      if (S == SymDefine) {
+        Value Name = car(cdr(Expr));
+        if (!Name.isSymbol())
+          return fail("define requires a symbol name");
+        Value Bound = evalIn(car(cdr(cdr(Expr))), Env);
+        if (Failed)
+          return Value::nil();
+        Value NewGlobal = envBind(globalEnv(), Name, Bound);
+        GlobalEnvRoot = reinterpret_cast<uint64_t>(NewGlobal.Object);
+        return Bound;
+      }
+      if (S == SymBegin) {
+        Expr = evalAllButLast(cdr(Expr), Env);
+        continue;
+      }
+      if (S == SymLet) {
+        // (let ((name expr)...) body...)
+        Value NewEnv = Env;
+        for (Value B = car(cdr(Expr)); B.isPair() && !Failed; B = cdr(B)) {
+          Value Binding = car(B);
+          Value Bound = evalIn(car(cdr(Binding)), Env);
+          NewEnv = envBind(NewEnv, car(Binding), Bound);
+        }
+        Env = NewEnv;
+        Expr = evalAllButLast(cdr(cdr(Expr)), Env);
+        continue;
+      }
+      if (S == SymAnd) {
+        Value Result = Value::boolean(true);
+        for (Value B = cdr(Expr); B.isPair() && !Failed; B = cdr(B)) {
+          Result = evalIn(car(B), Env);
+          if (!Result.truthy())
+            return Result;
+        }
+        return Result;
+      }
+      if (S == SymOr) {
+        Value Result = Value::boolean(false);
+        for (Value B = cdr(Expr); B.isPair() && !Failed; B = cdr(B)) {
+          Result = evalIn(car(B), Env);
+          if (Result.truthy())
+            return Result;
+        }
+        return Result;
+      }
+      if (S == SymCond) {
+        // (cond (test body...)... (else body...))
+        Value Chosen = Value::nil();
+        for (Value C = cdr(Expr); C.isPair() && !Failed; C = cdr(C)) {
+          Value Test = car(car(C));
+          bool IsElse = Test.isSymbol() && Test.Symbol == SymElse;
+          if (IsElse || evalIn(Test, Env).truthy()) {
+            Chosen = car(C);
+            break;
+          }
+        }
+        if (!Chosen.isPair())
+          return Value::nil();
+        Expr = evalAllButLast(cdr(Chosen), Env);
+        continue;
+      }
+      if (S == SymSet) {
+        Value Name = car(cdr(Expr));
+        if (!Name.isSymbol())
+          return fail("set! requires a symbol name");
+        Value Bound = evalIn(car(cdr(cdr(Expr))), Env);
+        if (Failed)
+          return Value::nil();
+        // Mutate the nearest binding: lexical first, then global.
+        if (Value *Slot = envLookup(Env, Name.Symbol)) {
+          *Slot = Bound;
+          return Bound;
+        }
+        if (Value *Slot = envLookup(globalEnv(), Name.Symbol)) {
+          *Slot = Bound;
+          return Bound;
+        }
+        return fail("set! of unbound symbol '" + Symbols[Name.Symbol] +
+                    "'");
+      }
+    }
+
+    Value Fn = evalIn(Head, Env);
+    if (Failed)
+      return Value::nil();
+    Value Args = evalArgs(cdr(Expr), Env);
+    if (Failed)
+      return Value::nil();
+    if (Fn.Kind == Tag::Builtin)
+      return Fn.Builtin(*this, Args);
+    if (Fn.Kind != Tag::Closure)
+      return fail("application of a non-function");
+    Value Params = Fn.Object->Slots[0];
+    Env = Fn.Object->Slots[2];
+    for (; Params.isPair(); Params = cdr(Params), Args = cdr(Args)) {
+      if (!Args.isPair())
+        return fail("too few arguments to closure");
+      Env = envBind(Env, car(Params), car(Args));
+    }
+    Expr = evalAllButLast(Fn.Object->Slots[1], Env);
+  }
 }

@@ -115,9 +115,11 @@ public:
 
 private:
   Value evalIn(Value Expr, Value Env);
-  Value evalSequence(Value Body, Value Env);
+  /// Evaluates every expression of \p Body but the last and \returns
+  /// the last, which the caller evaluates in tail position (nil for an
+  /// empty body).
+  Value evalAllButLast(Value Body, Value Env);
   Value evalArgs(Value Exprs, Value Env);
-  Value apply(Value Fn, Value Args);
   Value envBind(Value Env, Value Name, Value Bound);
   Value *envLookup(Value Env, uint64_t Symbol);
   Value globalEnv() const;

@@ -616,13 +616,10 @@ void *cgc_redirect_calloc(size_t Nmemb, size_t Bytes) {
   case Route::Gc:
     break;
   }
+  // Collector memory is zeroed by contract.
   void *Ptr = gcAllocate(Total, /*Atomic=*/false);
-  if (Ptr) {
-    // Collector memory is zeroed by contract; re-zero anyway so a
-    // future ClearFreedObjects policy change cannot break calloc.
-    std::memset(Ptr, 0, Total);
+  if (Ptr)
     traceAllocEvent(TraceOp::Calloc, Ptr, Nmemb, Bytes, nullptr);
-  }
   return Ptr;
 }
 

@@ -2,6 +2,7 @@
 
 #include "capi/cgc.h"
 #include "core/GcConfig.h"
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -52,7 +53,7 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.heap_base_offset, 0u) << "default placement is not Custom";
   EXPECT_EQ(C.heap_placement, CGC_PLACEMENT_HIGH_BITS_MIXED);
   EXPECT_EQ(C.heap_growth_pages, D.HeapGrowthPages);
-  EXPECT_EQ(C.decommit_freed_pages, D.DecommitFreedPages ? 1 : 0);
+  EXPECT_EQ(C.decommit_freed_pages, 1);
   EXPECT_EQ(C.interior_policy, CGC_INTERIOR_ALL);
   EXPECT_EQ(C.blacklist_mode, CGC_BLACKLIST_FLAT);
   EXPECT_EQ(C.blacklist_aging, D.BlacklistAging ? 1 : 0);
@@ -67,8 +68,7 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
   EXPECT_EQ(C.thread_cache_slots, D.ThreadCacheSlots);
   EXPECT_EQ(C.all_interior_pointers_avoid_spans, 0);
-  EXPECT_EQ(C.precise_free_slot_detection,
-            D.PreciseFreeSlotDetection ? 1 : 0);
+  EXPECT_EQ(C.precise_free_slot_detection, 0);
   EXPECT_DOUBLE_EQ(C.collect_before_growth_ratio,
                    D.CollectBeforeGrowthRatio);
   EXPECT_EQ(C.min_heap_bytes_before_gc, D.MinHeapBytesBeforeGc);
@@ -77,9 +77,8 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.stack_clear_every_n_allocs, D.StackClearEveryNAllocs);
   EXPECT_EQ(C.avoid_trailing_zero_addresses,
             D.AvoidTrailingZeroAddresses ? 1 : 0);
-  EXPECT_EQ(C.clear_freed_objects, D.ClearFreedObjects ? 1 : 0);
-  EXPECT_EQ(C.address_ordered_allocation,
-            D.AddressOrderedAllocation ? 1 : 0);
+  EXPECT_EQ(C.clear_freed_objects, 1);
+  EXPECT_EQ(C.address_ordered_allocation, 1);
   EXPECT_EQ(C.verify_every_collection, D.VerifyEveryCollection ? 1 : 0);
   EXPECT_EQ(C.sentinel.enabled, D.Sentinel.Enabled ? 1 : 0);
   EXPECT_EQ(C.sentinel.window_collections, D.Sentinel.WindowCollections);
@@ -104,7 +103,7 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
 // cgc_current_config: counts keep the default at 0, ratios at <= 0,
 // alignments outside 1/2/4/8 and unknown enum values keep the default,
 // exact fields copy verbatim, a legacy heap_base_offset forces Custom
-// placement, and the reserved field reads back 0.
+// placement, and each reserved field reads back its fixed value.
 TEST(CApi, ConfigFieldRulesReadBack) {
   struct Row {
     const char *Rule;
@@ -117,6 +116,13 @@ TEST(CApi, ConfigFieldRulesReadBack) {
       [](cgc_config &In) { In.Field = Value; },                              \
       [](const cgc_config &Out, const cgc_config &Def) {                     \
         EXPECT_EQ(Out.Field, Def.Field);                                     \
+      },                                                                     \
+      nullptr}
+#define RESERVED_READS_BACK(Field, Value, Fixed)                             \
+  Row{"reserved " #Field " = " #Value " reads back " #Fixed,                 \
+      [](cgc_config &In) { In.Field = Value; },                              \
+      [](const cgc_config &Out, const cgc_config &) {                        \
+        EXPECT_EQ(Out.Field, Fixed);                                         \
       },                                                                     \
       nullptr}
   const Row Rows[] = {
@@ -193,12 +199,11 @@ TEST(CApi, ConfigFieldRulesReadBack) {
          EXPECT_EQ(Out.heap_base_offset, 0u);
        },
        nullptr},
-      {"the reserved field is ignored and reads back 0",
-       [](cgc_config &In) { In.all_interior_pointers_avoid_spans = 5; },
-       [](const cgc_config &Out, const cgc_config &) {
-         EXPECT_EQ(Out.all_interior_pointers_avoid_spans, 0);
-       },
-       nullptr},
+      RESERVED_READS_BACK(all_interior_pointers_avoid_spans, 5, 0),
+      RESERVED_READS_BACK(decommit_freed_pages, 0, 1),
+      RESERVED_READS_BACK(clear_freed_objects, 0, 1),
+      RESERVED_READS_BACK(address_ordered_allocation, 0, 1),
+      RESERVED_READS_BACK(precise_free_slot_detection, 1, 0),
       {"exact fields copy 0 verbatim",
        [](cgc_config &In) {
          In.quarantine_slots = 0;
@@ -233,6 +238,7 @@ TEST(CApi, ConfigFieldRulesReadBack) {
        [](cgc_collector *GC) { cgc_sentinel_configure(GC, nullptr); }},
   };
 #undef KEEPS_DEFAULT
+#undef RESERVED_READS_BACK
 
   cgc_config Def;
   cgc_config_init(&Def);
@@ -258,7 +264,8 @@ TEST(CApi, ConfigFieldRulesReadBack) {
 }
 
 // Every field set to a non-default value must round-trip through
-// cgc_create -> cgc_current_config unchanged.
+// cgc_create -> cgc_current_config unchanged; the reserved fields read
+// back their fixed values instead.
 TEST(CApi, ConfigRoundTripsThroughCollector) {
   cgc_config In;
   cgc_config_init(&In);
@@ -315,7 +322,7 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_CUSTOM);
   EXPECT_EQ(Out.heap_base_offset, In.heap_base_offset);
   EXPECT_EQ(Out.heap_growth_pages, In.heap_growth_pages);
-  EXPECT_EQ(Out.decommit_freed_pages, In.decommit_freed_pages);
+  EXPECT_EQ(Out.decommit_freed_pages, 1);
   EXPECT_EQ(Out.interior_policy, In.interior_policy);
   EXPECT_EQ(Out.blacklist_mode, In.blacklist_mode);
   EXPECT_EQ(Out.blacklist_aging, In.blacklist_aging);
@@ -330,7 +337,7 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
   EXPECT_EQ(Out.thread_cache_slots, In.thread_cache_slots);
   EXPECT_EQ(Out.all_interior_pointers_avoid_spans, 0);
-  EXPECT_EQ(Out.precise_free_slot_detection, In.precise_free_slot_detection);
+  EXPECT_EQ(Out.precise_free_slot_detection, 0);
   EXPECT_DOUBLE_EQ(Out.collect_before_growth_ratio,
                    In.collect_before_growth_ratio);
   EXPECT_EQ(Out.min_heap_bytes_before_gc, In.min_heap_bytes_before_gc);
@@ -339,8 +346,8 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.stack_clear_every_n_allocs, In.stack_clear_every_n_allocs);
   EXPECT_EQ(Out.avoid_trailing_zero_addresses,
             In.avoid_trailing_zero_addresses);
-  EXPECT_EQ(Out.clear_freed_objects, In.clear_freed_objects);
-  EXPECT_EQ(Out.address_ordered_allocation, In.address_ordered_allocation);
+  EXPECT_EQ(Out.clear_freed_objects, 1);
+  EXPECT_EQ(Out.address_ordered_allocation, 1);
   EXPECT_EQ(Out.verify_every_collection, In.verify_every_collection);
   EXPECT_EQ(Out.sentinel.enabled, In.sentinel.enabled);
   EXPECT_EQ(Out.sentinel.window_collections, In.sentinel.window_collections);
@@ -418,6 +425,110 @@ TEST(CApi, CreateAllocateCollectDestroy) {
   EXPECT_EQ(cgc_live_bytes(GC), 0u);
   EXPECT_EQ(cgc_collection_count(GC), 1u);
   cgc_destroy(GC);
+}
+
+namespace {
+/// The number of bytes in [P, P + Bytes) that are not zero.
+size_t staleBytes(const void *P, size_t Bytes) {
+  const auto *B = static_cast<const unsigned char *>(P);
+  return static_cast<size_t>(
+      std::count_if(B, B + Bytes, [](unsigned char C) { return C != 0; }));
+}
+} // namespace
+
+// cgc.h promises that all memory is zero-initialized.  Each reuse path
+// must keep that promise whatever the reserved heap fields say: a large
+// run reused after cgc_free or after a sweep, small blocks carved from
+// a freed large object's pages, and slots a registered thread takes
+// from its cache after frees.
+TEST(CApi, ReusedMemoryIsZeroWhateverTheReservedHeapFields) {
+  struct Row {
+    const char *Name;
+    void (*Set)(cgc_config &Config);
+  };
+  const Row Rows[] = {
+      {"decommit_freed_pages = 0",
+       [](cgc_config &C) { C.decommit_freed_pages = 0; }},
+      {"decommit_freed_pages = 1",
+       [](cgc_config &C) { C.decommit_freed_pages = 1; }},
+      {"clear_freed_objects = 0",
+       [](cgc_config &C) { C.clear_freed_objects = 0; }},
+      {"clear_freed_objects = 1",
+       [](cgc_config &C) { C.clear_freed_objects = 1; }},
+      {"address_ordered_allocation = 0",
+       [](cgc_config &C) { C.address_ordered_allocation = 0; }},
+      {"address_ordered_allocation = 1",
+       [](cgc_config &C) { C.address_ordered_allocation = 1; }},
+      {"precise_free_slot_detection = 1",
+       [](cgc_config &C) { C.precise_free_slot_detection = 1; }},
+      {"precise_free_slot_detection = 0",
+       [](cgc_config &C) { C.precise_free_slot_detection = 0; }},
+  };
+  constexpr size_t Large = 64 << 10;
+  constexpr size_t Small = 48;
+  constexpr size_t SmallCount = 2048;
+  // Rows are named by hand, not with SCOPED_TRACE (see
+  // ConfigFieldRulesReadBack): this test also runs under the shim.
+  for (const Row &R : Rows) {
+    cgc_config Config = testConfig();
+    R.Set(Config);
+    cgc_collector *GC = cgc_create(&Config);
+    ASSERT_NE(GC, nullptr) << R.Name;
+
+    void *P = cgc_malloc(GC, Large);
+    ASSERT_NE(P, nullptr) << R.Name;
+    std::memset(P, 0xAB, Large);
+    cgc_free(GC, P);
+    P = cgc_malloc(GC, Large);
+    ASSERT_NE(P, nullptr) << R.Name;
+    EXPECT_EQ(staleBytes(P, Large), 0u)
+        << R.Name << ": large object reused after cgc_free";
+
+    // Stack scanning is off, so nothing retains P across the sweep.
+    std::memset(P, 0xAB, Large);
+    cgc_gcollect(GC);
+    P = cgc_malloc(GC, Large);
+    ASSERT_NE(P, nullptr) << R.Name;
+    EXPECT_EQ(staleBytes(P, Large), 0u)
+        << R.Name << ": large object reused after a sweep";
+
+    std::memset(P, 0xAB, Large);
+    cgc_free(GC, P);
+    size_t Stale = 0;
+    for (size_t I = 0; I != SmallCount; ++I) {
+      void *S = cgc_malloc(GC, Small);
+      ASSERT_NE(S, nullptr) << R.Name;
+      Stale += staleBytes(S, Small);
+    }
+    EXPECT_EQ(Stale, 0u)
+        << R.Name << ": small objects on a freed large object's pages";
+
+    size_t CachedStale = 0;
+    bool Registered = false;
+    std::thread([&] {
+      if (!cgc_register_thread(GC))
+        return;
+      Registered = true;
+      void *Big = cgc_malloc(GC, Large);
+      std::memset(Big, 0xAB, Large);
+      cgc_free(GC, Big);
+      std::vector<void *> Freed;
+      for (size_t I = 0; I != SmallCount / 8; ++I) {
+        void *S = cgc_malloc(GC, Small);
+        std::memset(S, 0xAB, Small);
+        Freed.push_back(S);
+      }
+      for (void *S : Freed)
+        cgc_free(GC, S);
+      for (size_t I = 0; I != SmallCount; ++I)
+        CachedStale += staleBytes(cgc_malloc(GC, Small), Small);
+      cgc_unregister_thread(GC);
+    }).join();
+    EXPECT_TRUE(Registered) << R.Name;
+    EXPECT_EQ(CachedStale, 0u)
+        << R.Name << ": thread-cached allocations after frees";
+    cgc_destroy(GC);
+  }
 }
 
 TEST(CApi, RootsKeepObjectsAlive) {

@@ -149,7 +149,7 @@ struct PageAllocFixture : public ::testing::Test {
   PageAllocFixture()
       : Arena(64 << 20),
         Pages(Arena, /*BasePage=*/256, /*MaxPages=*/2048,
-              /*GrowthPages=*/64, /*DecommitFreed=*/true) {}
+              /*GrowthPages=*/64) {}
   VirtualArena Arena;
   PageAllocator Pages;
 };
@@ -257,7 +257,7 @@ namespace {
 struct ObjectHeapFixture : public ::testing::Test {
   ObjectHeapFixture()
       : Arena(64 << 20),
-        Pages(Arena, 256, 2048, 64, true),
+        Pages(Arena, 256, 2048, 64),
         Map(Arena.numPages()) {
     ObjectHeapConfig Config;
     Heap = std::make_unique<ObjectHeap>(Arena, Pages, Map, Blocks, Config);
@@ -378,7 +378,7 @@ TEST_F(ObjectHeapFixture, FreedMemoryIsCleared) {
   auto *A = static_cast<uint64_t *>(allocSmall(8));
   *A = 0xDEADBEEFDEADBEEFULL;
   Heap->deallocateExplicit(A);
-  EXPECT_EQ(*A, 0u) << "ClearFreedObjects must zero freed slots";
+  EXPECT_EQ(*A, 0u) << "an explicit free must zero the slot";
 }
 
 TEST_F(ObjectHeapFixture, LargeObjectLifecycle) {
@@ -477,21 +477,6 @@ TEST_F(ObjectHeapFixture, KindsUseSeparateBlocks) {
       << "different kinds never share a block";
   EXPECT_EQ(blockOf(N).Kind, ObjectKind::Normal);
   EXPECT_EQ(blockOf(P).Kind, ObjectKind::PointerFree);
-}
-
-TEST_F(ObjectHeapFixture, LifoAblationUsesRecentBlock) {
-  ObjectHeapConfig Config;
-  Config.AddressOrderedAllocation = false;
-  BlockTable Blocks2;
-  PageMap Map2(Arena.numPages());
-  PageAllocator Pages2(Arena, 4096, 2048, 64, true);
-  ObjectHeap Lifo(Arena, Pages2, Map2, Blocks2, Config);
-  ASSERT_TRUE(Lifo.addBlock(8, ObjectKind::Normal, /*Layout=*/0));
-  void *A = Lifo.allocateFromExisting(8, ObjectKind::Normal, /*Layout=*/0);
-  ASSERT_NE(A, nullptr);
-  Lifo.deallocateExplicit(A);
-  void *B = Lifo.allocateFromExisting(8, ObjectKind::Normal, /*Layout=*/0);
-  EXPECT_EQ(B, A) << "LIFO reuses the most recently freed-into block";
 }
 
 TEST_F(ObjectHeapFixture, LargeAllocationFailsAtArenaLimitAndRecovers) {

@@ -17,27 +17,23 @@ using namespace cgc;
 
 namespace {
 
-GcConfig fuzzConfig(bool Lazy, bool AddressOrdered,
-                    unsigned SweepThreads = 1, bool VerifyEvery = false,
-                    bool Guarded = false) {
+GcConfig fuzzConfig(bool Lazy, unsigned SweepThreads = 1,
+                    bool VerifyEvery = false, bool Guarded = false) {
   GcConfig Config;
   Config.MaxHeapBytes = 64 << 20;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = 1 << 20;
   Config.CollectBeforeGrowthRatio = 0.5;
   Config.LazySweep = Lazy;
-  Config.AddressOrderedAllocation = AddressOrdered;
   Config.SweepThreads = SweepThreads;
   Config.VerifyEveryCollection = VerifyEvery;
   Config.DebugGuards = Guarded;
   return Config;
 }
 
-void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
-              unsigned SweepThreads = 1, bool VerifyEvery = false,
-              bool Guarded = false) {
-  Collector GC(fuzzConfig(Lazy, AddressOrdered, SweepThreads, VerifyEvery,
-                          Guarded));
+void fuzzOnce(bool Lazy, uint64_t Seed, unsigned SweepThreads = 1,
+              bool VerifyEvery = false, bool Guarded = false) {
+  Collector GC(fuzzConfig(Lazy, SweepThreads, VerifyEvery, Guarded));
   Rng R(Seed);
   LayoutId Layout = GC.registerObjectLayout(
       {true, false, true, false}, 4 * sizeof(uint64_t));
@@ -122,30 +118,30 @@ void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
 
 } // namespace
 
-TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(false, true, 101); }
-TEST(HeapInvariants, FuzzEagerLifo) { fuzzOnce(false, false, 202); }
-TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(true, true, 303); }
-TEST(HeapInvariants, FuzzLazyLifo) { fuzzOnce(true, false, 404); }
+TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(false, 101); }
+TEST(HeapInvariants, FuzzEagerSeed202) { fuzzOnce(false, 202); }
+TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(true, 303); }
+TEST(HeapInvariants, FuzzLazySeed404) { fuzzOnce(true, 404); }
 // The same fuzz loops with the Sweep phase sharded across 4 pool
 // workers: every verifyHeap checkpoint must still hold.
 TEST(HeapInvariants, FuzzEagerParallelSweep) {
-  fuzzOnce(false, true, 101, /*SweepThreads=*/4);
+  fuzzOnce(false, 101, /*SweepThreads=*/4);
 }
-TEST(HeapInvariants, FuzzEagerLifoParallelSweep) {
-  fuzzOnce(false, false, 202, /*SweepThreads=*/4);
+TEST(HeapInvariants, FuzzEagerParallelSweepSeed202) {
+  fuzzOnce(false, 202, /*SweepThreads=*/4);
 }
 TEST(HeapInvariants, FuzzLazyParallelSweep) {
-  fuzzOnce(true, true, 303, /*SweepThreads=*/4);
+  fuzzOnce(true, 303, /*SweepThreads=*/4);
 }
 // The deep verifier lane: the same fuzz loop with
 // GcConfig::VerifyEveryCollection on, so every phase of every
 // collection re-verifies block table, page map, free lists, mark bits,
 // and blacklist — failures abort at the phase that corrupted the heap.
 TEST(HeapInvariants, FuzzEagerVerifyEveryCollection) {
-  fuzzOnce(false, true, 505, /*SweepThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(false, 505, /*SweepThreads=*/1, /*VerifyEvery=*/true);
 }
 TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
-  fuzzOnce(true, true, 606, /*SweepThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(true, 606, /*SweepThreads=*/1, /*VerifyEvery=*/true);
 }
 // Guarded-heap lanes: the identical workloads under DebugGuards, so
 // every explicit free climbs the validation ladder, every freed object
@@ -153,15 +149,15 @@ TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
 // checkpoint re-checks headers and redzones.  A clean run proves the
 // guard machinery itself never trips on a correct program.
 TEST(HeapInvariants, FuzzGuardedEager) {
-  fuzzOnce(false, true, 711, /*SweepThreads=*/1, /*VerifyEvery=*/false,
+  fuzzOnce(false, 711, /*SweepThreads=*/1, /*VerifyEvery=*/false,
            /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedParallelSweep) {
-  fuzzOnce(false, true, 711, /*SweepThreads=*/4, /*VerifyEvery=*/false,
+  fuzzOnce(false, 711, /*SweepThreads=*/4, /*VerifyEvery=*/false,
            /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
-  fuzzOnce(false, true, 808, /*SweepThreads=*/1, /*VerifyEvery=*/true,
+  fuzzOnce(false, 808, /*SweepThreads=*/1, /*VerifyEvery=*/true,
            /*Guarded=*/true);
 }
 
@@ -172,7 +168,7 @@ TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
 // same deterministic workload.
 TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
   auto runCensus = [](bool Guarded) {
-    Collector GC(fuzzConfig(false, true, /*SweepThreads=*/1,
+    Collector GC(fuzzConfig(false, /*SweepThreads=*/1,
                             /*VerifyEvery=*/false, Guarded));
     Rng R(9090);
     std::vector<uint64_t> Window(256, 0);
@@ -201,7 +197,7 @@ TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
 // the same marks must agree exactly — same live counts, same pins,
 // and nothing newly freed.
 TEST(HeapInvariants, ParallelSweepTotalsMatchSequentialResweep) {
-  Collector GC(fuzzConfig(false, true, /*SweepThreads=*/4));
+  Collector GC(fuzzConfig(false, /*SweepThreads=*/4));
   Rng R(777);
   std::vector<uint64_t> Window(256, 0);
   GC.addRootRange(Window.data(), Window.data() + Window.size(),
@@ -288,7 +284,7 @@ void mutatorChurn(Collector &GC, uint64_t Seed,
 // count after draining.  The streams are interleaving-independent, so
 // the totals must agree exactly — and both heaps must empty.
 uint64_t runMutatorStreams(bool Threaded, uint64_t HandshakeDeadlineMs = 0) {
-  GcConfig Config = fuzzConfig(false, true);
+  GcConfig Config = fuzzConfig(false);
   Config.HandshakeDeadlineMs = HandshakeDeadlineMs;
   Collector GC(Config);
   constexpr int NumMutators = 3;
@@ -355,7 +351,7 @@ TEST(HeapInvariants, FuzzMultiMutatorRandomSkippedPolls) {
 }
 
 TEST(HeapInvariants, VerifierPassesAfterEveryPhase) {
-  Collector GC(fuzzConfig(false, true));
+  Collector GC(fuzzConfig(false));
   GC.verifyHeap(); // Empty heap.
   void *A = GC.allocate(100);
   GC.verifyHeap(); // After allocation.
@@ -369,7 +365,7 @@ TEST(HeapInvariants, VerifierPassesAfterEveryPhase) {
 }
 
 TEST(CollectorReport, PrintsWithoutCrashing) {
-  Collector GC(fuzzConfig(false, true));
+  Collector GC(fuzzConfig(false));
   for (int I = 0; I != 1000; ++I)
     GC.allocate(32);
   GC.collect();

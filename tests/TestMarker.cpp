@@ -48,17 +48,6 @@ TEST(Marker, ResolveCandidateSmallObjects) {
   EXPECT_FALSE(M.resolveCandidate(Base + 64 * PageSize).valid());
 }
 
-TEST(Marker, ResolveCandidatePreciseFreeSlots) {
-  GcConfig Config = markerConfig();
-  Config.PreciseFreeSlotDetection = true;
-  Collector GC(Config);
-  auto *A = static_cast<char *>(GC.allocate(32));
-  WindowOffset Base = GC.windowOffsetOf(A);
-  EXPECT_TRUE(GC.marker().resolveCandidate(Base).valid());
-  EXPECT_FALSE(GC.marker().resolveCandidate(Base + 32).valid())
-      << "precise mode rejects free slots";
-}
-
 TEST(Marker, NearMissCountingAndBlacklistFeed) {
   Collector GC(markerConfig());
   (void)GC.allocate(8); // Commit some heap.

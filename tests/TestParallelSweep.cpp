@@ -192,40 +192,31 @@ TEST(ParallelSweep, MarkSweepThreadMatrix) {
   }
 }
 
-TEST(ParallelSweep, FreeListOrderIdenticalAddressOrderedAndLifo) {
+TEST(ParallelSweep, FreeListOrderIdentical) {
   // The strongest determinism property: after a parallel sweep the
   // rebuilt free lists hand out the same addresses in the same order
-  // as after a sequential sweep.  Run under both block-selection
-  // disciplines — the address-ordered std::map is order-independent by
-  // construction, but the LIFO stacks are only identical because
-  // dispositions are applied in sequential visit order.
-  for (bool AddressOrdered : {true, false}) {
-    std::vector<WindowOffset> ReferenceAllocs;
-    for (unsigned Threads : {1u, 4u}) {
-      GcConfig Config = sweepConfig(Threads);
-      Config.AddressOrderedAllocation = AddressOrdered;
-      Collector GC(Config);
-      static void *Live[NumLiveAnchors];
-      std::fill(std::begin(Live), std::end(Live), nullptr);
-      GC.addRootRange(Live, Live + NumLiveAnchors,
-                      RootEncoding::Native64, RootSource::StaticData,
-                      "live-lists");
-      mixedWorkload(GC, Live);
-      GC.collect("rebuild-free-lists");
-      // Allocation replay: same sizes, must yield same addresses.
-      std::vector<WindowOffset> Allocs;
-      for (unsigned I = 0; I != 2000; ++I) {
-        void *P = GC.allocate(16u << (I % 4));
-        ASSERT_NE(P, nullptr);
-        Allocs.push_back(GC.windowOffsetOf(P));
-      }
-      if (Threads == 1)
-        ReferenceAllocs = std::move(Allocs);
-      else
-        EXPECT_EQ(Allocs, ReferenceAllocs)
-            << "allocation addresses diverge after parallel sweep "
-            << "(AddressOrdered=" << AddressOrdered << ")";
+  // as after a sequential sweep.
+  std::vector<WindowOffset> ReferenceAllocs;
+  for (unsigned Threads : {1u, 4u}) {
+    Collector GC(sweepConfig(Threads));
+    static void *Live[NumLiveAnchors];
+    std::fill(std::begin(Live), std::end(Live), nullptr);
+    GC.addRootRange(Live, Live + NumLiveAnchors, RootEncoding::Native64,
+                    RootSource::StaticData, "live-lists");
+    mixedWorkload(GC, Live);
+    GC.collect("rebuild-free-lists");
+    // Allocation replay: same sizes, must yield same addresses.
+    std::vector<WindowOffset> Allocs;
+    for (unsigned I = 0; I != 2000; ++I) {
+      void *P = GC.allocate(16u << (I % 4));
+      ASSERT_NE(P, nullptr);
+      Allocs.push_back(GC.windowOffsetOf(P));
     }
+    if (Threads == 1)
+      ReferenceAllocs = std::move(Allocs);
+    else
+      EXPECT_EQ(Allocs, ReferenceAllocs)
+          << "allocation addresses diverge after parallel sweep";
   }
 }
 

@@ -25,8 +25,12 @@ struct ConfigPoint {
   InteriorPolicy Interior;
   BlacklistMode Blacklist;
   bool AvoidTrailingZeros;
-  bool AddressOrdered;
-  bool PreciseFreeSlots;
+  // Not axes: every point allocates in address order (Ao) and lets a
+  // false reference pin a free slot (Lax).  The two fields stay in the
+  // parameter so that the GetParam() text the suite prints with each
+  // test name does not change.
+  bool AddressOrdered = true;
+  bool PreciseFreeSlots = false;
 };
 
 std::string configName(const ::testing::TestParamInfo<ConfigPoint> &Info) {
@@ -55,8 +59,7 @@ std::string configName(const ::testing::TestParamInfo<ConfigPoint> &Info) {
     break;
   }
   Name += P.AvoidTrailingZeros ? "_Tz" : "_NoTz";
-  Name += P.AddressOrdered ? "_Ao" : "_Lifo";
-  Name += P.PreciseFreeSlots ? "_Precise" : "_Lax";
+  Name += "_Ao_Lax";
   return Name;
 }
 
@@ -69,8 +72,6 @@ GcConfig makeConfig(const ConfigPoint &P) {
   Config.Interior = P.Interior;
   Config.Blacklist = P.Blacklist;
   Config.AvoidTrailingZeroAddresses = P.AvoidTrailingZeros;
-  Config.AddressOrderedAllocation = P.AddressOrdered;
-  Config.PreciseFreeSlotDetection = P.PreciseFreeSlots;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = ~uint64_t(0);
   return Config;
@@ -248,24 +249,15 @@ TEST_P(ConfigMatrixTest, MixedKindsAndExplicitFrees) {
 INSTANTIATE_TEST_SUITE_P(
     ConfigMatrix, ConfigMatrixTest,
     ::testing::Values(
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true,
-                    true, false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::Off, true, true,
-                    false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::Hashed, true,
-                    true, false},
+        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true},
+        ConfigPoint{InteriorPolicy::All, BlacklistMode::Off, true},
+        ConfigPoint{InteriorPolicy::All, BlacklistMode::Hashed, true},
         ConfigPoint{InteriorPolicy::BaseOnly, BlacklistMode::FlatBitmap,
-                    true, true, false},
+                    true},
         ConfigPoint{InteriorPolicy::FirstPage, BlacklistMode::FlatBitmap,
-                    true, true, false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap,
-                    false, true, false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true,
-                    false, false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true,
-                    true, true},
-        ConfigPoint{InteriorPolicy::BaseOnly, BlacklistMode::Off, false,
-                    false, true}),
+                    true},
+        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, false},
+        ConfigPoint{InteriorPolicy::BaseOnly, BlacklistMode::Off, false}),
     configName);
 
 //===----------------------------------------------------------------------===//
