@@ -117,7 +117,7 @@ struct ReadFromC {
     }
   }
   /// A reserved field is ignored.
-  void reserved(const int &, int) {}
+  template <class CT> void reserved(const CT &, CT) {}
 };
 
 /// Writes each resolved C++ field back into its C counterpart.
@@ -134,7 +134,7 @@ struct WriteToC {
     C = Placement == HeapPlacement::Custom ? Offset : 0;
   }
   /// A reserved field reads back \p Fixed.
-  void reserved(int &C, int Fixed) { C = Fixed; }
+  template <class CT> void reserved(CT &C, CT Fixed) { C = Fixed; }
 };
 
 /// The one list of cgc_sentinel_policy fields, each beside its rule.
@@ -171,7 +171,7 @@ void mapConfig(Mapper &&M, CConfig &C, Config &Cxx) {
   M.alignment(C.heap_scan_alignment, Cxx.HeapScanAlignment);
   M.positive(C.mark_threads, Cxx.MarkThreads);
   M.positive(C.sweep_threads, Cxx.SweepThreads);
-  M.positive(C.root_scan_threads, Cxx.RootScanThreads);
+  M.reserved(C.root_scan_threads, 1u);
   M.positive(C.mutator_threads, Cxx.MutatorThreads);
   M.positive(C.thread_cache_slots, Cxx.ThreadCacheSlots);
   M.reserved(C.all_interior_pointers_avoid_spans, 0);
@@ -293,14 +293,6 @@ void cgc_set_sweep_threads(cgc_collector *GC, unsigned Threads) {
 
 unsigned cgc_sweep_threads(cgc_collector *GC) {
   return GC->GC.sweepThreads();
-}
-
-void cgc_set_root_scan_threads(cgc_collector *GC, unsigned Threads) {
-  GC->GC.setRootScanThreads(Threads);
-}
-
-unsigned cgc_root_scan_threads(cgc_collector *GC) {
-  return GC->GC.rootScanThreads();
 }
 
 int cgc_register_thread(cgc_collector *GC) {

@@ -118,12 +118,7 @@ typedef struct cgc_config {
    * any value; only sweep wall-clock time changes.  Clamped to 64.
    */
   unsigned sweep_threads;
-  /* Root-scan-phase worker threads.  0 or 1 = sequential (the
-   * default); N > 1 decodes root spans on N workers, then replays the
-   * candidates sequentially in registration order — the marked set,
-   * the blacklist, and every counter are identical for any value.
-   * Clamped to 64. */
-  unsigned root_scan_threads;
+  unsigned root_scan_threads; /* reserved; ignored, reads back 1 */
   /* Maximum registered mutator threads (cgc_register_thread); 0 =
    * default (64).  A collector with no registered threads runs the
    * paper's sequential single-mutator protocol bit-identically. */
@@ -218,7 +213,7 @@ typedef struct cgc_config {
  * they keep the struct layout, are ignored on input, and read back the
  * collector's fixed behaviour (freed pages decommitted, freed objects
  * cleared, address-ordered allocation, free slots pinned by false
- * references). */
+ * references, one root-scan thread). */
 void cgc_config_init(cgc_config *config);
 
 /* Creates/destroys a collector.  NULL config = defaults. */
@@ -273,11 +268,6 @@ unsigned cgc_mark_threads(cgc_collector *gc);
  * cgc_config.sweep_threads; 0 is treated as 1). */
 void cgc_set_sweep_threads(cgc_collector *gc, unsigned threads);
 unsigned cgc_sweep_threads(cgc_collector *gc);
-
-/* Sets the root-scan-phase worker count for future collections (see
- * cgc_config.root_scan_threads; 0 is treated as 1). */
-void cgc_set_root_scan_threads(cgc_collector *gc, unsigned threads);
-unsigned cgc_root_scan_threads(cgc_collector *gc);
 
 /* --- mutator threads -------------------------------------------------- */
 

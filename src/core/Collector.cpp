@@ -1830,10 +1830,10 @@ void Collector::printReport(std::FILE *Out) const {
                  gcPhaseName(static_cast<GcPhase>(I)),
                  Lifetime.TotalPhaseNanos[I] / 1e6,
                  I + 1 == NumGcPhases ? "\n" : ",");
-  std::fprintf(Out, "workers         : %u mark, %u sweep, %u root-scan "
-                    "configured; %u pool thread(s) spawned\n",
+  std::fprintf(Out, "workers         : %u mark, %u sweep configured; "
+                    "%u pool thread(s) spawned\n",
                Config.MarkThreads, Config.SweepThreads,
-               Config.RootScanThreads, Pool->threadsSpawned());
+               Pool->threadsSpawned());
   if (Registry.lifetimeRegistrations() != 0) {
     std::fprintf(Out, "mutators        : %llu registered now, %llu over "
                       "lifetime; %llu handshakes, %llu safepoint parks\n",

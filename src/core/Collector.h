@@ -124,7 +124,7 @@ public:
   CollectionStats collect(const char *Reason = "explicit");
 
   /// Sets the Mark-phase worker count for future collections (clamped
-  /// to [1, MarkContext::MaxWorkers]).  1 = the paper's sequential
+  /// to [1, Marker::MaxWorkers]).  1 = the paper's sequential
   /// marker; any value yields the identical marked set and counters.
   void setMarkThreads(unsigned Threads) {
     Config.MarkThreads = Threads == 0 ? 1 : Threads;
@@ -139,16 +139,6 @@ public:
     Config.SweepThreads = Threads == 0 ? 1 : Threads;
   }
   unsigned sweepThreads() const { return Config.SweepThreads; }
-
-  /// Sets the RootScan-phase worker count for future collections
-  /// (clamped to [1, MarkContext::MaxWorkers]).  1 = the paper's
-  /// sequential scan; any value yields the identical seeded set and
-  /// counters (workers gather candidates read-only, then the candidates
-  /// replay sequentially in range-registration order).
-  void setRootScanThreads(unsigned Threads) {
-    Config.RootScanThreads = Threads == 0 ? 1 : Threads;
-  }
-  unsigned rootScanThreads() const { return Config.RootScanThreads; }
 
   /// Installs (or clears, with nullptr) the out-of-memory handler the
   /// allocation ladder invokes once per exhausted request.

@@ -174,15 +174,6 @@ struct GcConfig {
   /// [1, 64].
   unsigned SweepThreads = 1;
 
-  /// Workers gathering root-scan candidates in the RootScan phase.  1
-  /// (the default) runs the paper's exact sequential scan.  N > 1
-  /// shards the scannable spans across persistent pool workers, which
-  /// decode candidate words read-only; the candidates are then replayed
-  /// through the marker sequentially in span registration order, so the
-  /// seeded set, hit/near-miss counters, and blacklist feed are
-  /// identical for any value.  Clamped to [1, 64].
-  unsigned RootScanThreads = 1;
-
   /// Maximum simultaneously registered mutator threads
   /// (cgc_register_thread / GcThreadScope).  Registration beyond the
   /// cap fails cleanly.  With zero registered threads the collector

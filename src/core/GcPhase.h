@@ -22,7 +22,7 @@
 ///                        every root span; reachable objects found here
 ///                        seed the mark work queue.
 ///   * Mark             — transitively mark the heap from the seeds
-///                        (1..N workers; see core/MarkContext.h).
+///                        (1..N workers; see core/Marker.h).
 ///                        Finalizable objects found unreachable are
 ///                        resurrected here (resurrection is marking
 ///                        work) and staged for the Finalize phase.

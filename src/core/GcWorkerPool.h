@@ -48,7 +48,7 @@ namespace cgc {
 class GcWorkerPool {
 public:
   /// Hard cap on workers per job (caller + MaxWorkers - 1 pool
-  /// threads).  Matches the historical MarkContext ceiling.
+  /// threads).  Also the Marker and SweepContext ceiling.
   static constexpr unsigned MaxWorkers = 64;
 
   GcWorkerPool() = default;

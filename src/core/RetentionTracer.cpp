@@ -2,7 +2,6 @@
 
 #include "core/RetentionTracer.h"
 #include "support/Assert.h"
-#include <cstring>
 #include <deque>
 #include <unordered_map>
 
@@ -12,20 +11,6 @@ namespace {
 
 uint64_t keyOf(ObjectRef Ref) {
   return (uint64_t(Ref.Block) << 32) | Ref.Slot;
-}
-
-uint32_t load32At(const unsigned char *P, bool BigEndian) {
-  uint32_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
-  if (BigEndian)
-    Value = __builtin_bswap32(Value);
-  return Value;
-}
-
-uint64_t load64At(const unsigned char *P) {
-  uint64_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
-  return Value;
 }
 
 struct Provenance {
@@ -60,7 +45,6 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   Marker &M = GC.marker();
   VirtualArena &Arena = GC.arena();
   ObjectHeap &Heap = GC.objectHeap();
-  const GcConfig &Config = GC.config();
 
   ObjectRef TargetRef = M.resolveCandidate(
       Arena.offsetOf(reinterpret_cast<Address>(Target)));
@@ -95,25 +79,20 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   // Uncollectable objects are roots (including the pointer-free
   // variety: live by definition, even though nothing traces through
   // them).
-  Heap.forEachBlock([&](BlockId Id, BlockDescriptor &Block) {
-    if (Found || !kindIsUncollectable(Block.Kind))
-      return;
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount && !Found; ++Slot) {
-      if (!Block.AllocBits.test(Slot))
-        continue;
-      ObjectRef Ref{Id, Slot};
-      uint64_t Key = keyOf(Ref);
-      if (Visited.count(Key))
-        continue;
-      Provenance P;
-      P.ParentKey = 0;
-      P.RootIndex = ~0u; // Sentinel: uncollectable root.
-      P.ReachedThrough = Heap.baseOffset(Ref);
-      Visited.emplace(Key, P);
-      Queue.push_back(Key);
-      Found = Key == TargetKey;
-    }
-  });
+  M.forEachUncollectableObject(
+      [&](BlockId Id, BlockDescriptor &, uint32_t Slot) {
+        ObjectRef Ref{Id, Slot};
+        uint64_t Key = keyOf(Ref);
+        if (Found || Visited.count(Key))
+          return;
+        Provenance P;
+        P.ParentKey = 0;
+        P.RootIndex = ~0u; // Sentinel: uncollectable root.
+        P.ReachedThrough = Heap.baseOffset(Ref);
+        Visited.emplace(Key, P);
+        Queue.push_back(Key);
+        Found = Key == TargetKey;
+      });
 
   // Registered root ranges, honoring exclusions, encodings, alignment.
   RootSet &Roots = GC.roots();
@@ -125,27 +104,12 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     Roots.forEachScannableSubrange(
         Range.Begin, Range.End,
         [&](const unsigned char *Begin, const unsigned char *End) {
-          if (Found)
-            return;
-          unsigned Stride = Config.RootScanAlignment;
-          if (Range.Encoding == RootEncoding::Native64) {
-            for (const unsigned char *P = Begin;
-                 !Found && P + sizeof(uint64_t) <= End; P += Stride) {
-              Address Addr = static_cast<Address>(load64At(P));
-              if (!Arena.contains(Addr))
-                continue;
-              Found |= visit(Arena.offsetOf(Addr), 0, RootIndex, P);
-            }
-            return;
-          }
-          bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
-          for (const unsigned char *P = Begin;
-               !Found && P + sizeof(uint32_t) <= End; P += Stride) {
-            WindowOffset Offset = load32At(P, BigEndian);
-            if (!Arena.containsOffset(Offset))
-              continue;
-            Found |= visit(Offset, 0, RootIndex, P);
-          }
+          M.forEachRootCandidate(
+              Range, Begin, End,
+              [&](WindowOffset Candidate, const unsigned char *Word) {
+                if (!Found)
+                  Found = visit(Candidate, 0, RootIndex, Word);
+              });
         });
   });
 
@@ -155,37 +119,14 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     Queue.pop_front();
     ObjectRef Ref{static_cast<BlockId>(Key >> 32),
                   static_cast<uint32_t>(Key)};
-    const BlockDescriptor &Block =
-        Heap.blockTable().get(Ref.Block);
+    const BlockDescriptor &Block = Heap.blockTable().get(Ref.Block);
     if (kindIsPointerFree(Block.Kind))
       continue;
-    WindowOffset Base = Heap.baseOffset(Ref);
-    const unsigned char *P =
-        static_cast<const unsigned char *>(Arena.pointerTo(Base));
-    uint32_t Bytes = Block.ObjectSize;
-
-    if (Block.LayoutId != 0) {
-      // Mirror of MarkWorker::scanTypedObject: stride over exactly the
-      // descriptor's pointer-bearing words.
-      const TypeDescriptor &D = Heap.layout(Block.LayoutId);
-      uint32_t Words = std::min<uint32_t>(
-          D.NumWords, Bytes / static_cast<uint32_t>(sizeof(uint64_t)));
-      for (uint32_t Word = D.findPointerWord(0); !Found && Word < Words;
-           Word = D.findPointerWord(Word + 1)) {
-        Address Addr =
-            static_cast<Address>(load64At(P + Word * sizeof(uint64_t)));
-        if (Arena.contains(Addr))
-          Found |= visit(Arena.offsetOf(Addr), Key, 0, nullptr);
-      }
-      continue;
-    }
-    unsigned Stride = Config.HeapScanAlignment;
-    for (uint32_t I = 0; !Found && I + sizeof(uint64_t) <= Bytes;
-         I += Stride) {
-      Address Addr = static_cast<Address>(load64At(P + I));
-      if (Arena.contains(Addr))
-        Found |= visit(Arena.offsetOf(Addr), Key, 0, nullptr);
-    }
+    M.forEachObjectCandidate(Heap.baseOffset(Ref), Block.ObjectSize,
+                             Block.LayoutId, [&](WindowOffset Candidate) {
+                               if (!Found)
+                                 Found = visit(Candidate, Key, 0, nullptr);
+                             });
   }
 
   if (!Visited.count(TargetKey))

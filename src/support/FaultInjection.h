@@ -50,8 +50,9 @@ enum class FaultSite : unsigned {
   /// GcWorkerPool thread spawn — std::thread construction fails; the
   /// pool must degrade to fewer workers (ultimately sequential).
   WorkerSpawn = 2,
-  /// MarkWorker::push — the mark stack "overflows" and drops the item;
-  /// marking must recover by rescanning marked objects to a fixpoint.
+  /// Marker::Worker::push — the mark stack "overflows" and drops the
+  /// item; marking must recover by rescanning marked objects to a
+  /// fixpoint.
   MarkStackOverflow = 3,
   /// ThreadRegistry::parkAtSafepoint — the mutator ignores the
   /// safepoint poll and keeps running, as if wedged in a compute loop;

@@ -64,7 +64,7 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.heap_scan_alignment, D.HeapScanAlignment);
   EXPECT_EQ(C.mark_threads, D.MarkThreads);
   EXPECT_EQ(C.sweep_threads, D.SweepThreads);
-  EXPECT_EQ(C.root_scan_threads, D.RootScanThreads);
+  EXPECT_EQ(C.root_scan_threads, 1u);
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
   EXPECT_EQ(C.thread_cache_slots, D.ThreadCacheSlots);
   EXPECT_EQ(C.all_interior_pointers_avoid_spans, 0);
@@ -132,7 +132,6 @@ TEST(CApi, ConfigFieldRulesReadBack) {
       KEEPS_DEFAULT(hashed_blacklist_bits_log2, 0),
       KEEPS_DEFAULT(mark_threads, 0),
       KEEPS_DEFAULT(sweep_threads, 0),
-      KEEPS_DEFAULT(root_scan_threads, 0),
       KEEPS_DEFAULT(mutator_threads, 0),
       KEEPS_DEFAULT(thread_cache_slots, 0),
       KEEPS_DEFAULT(min_heap_bytes_before_gc, 0),
@@ -204,6 +203,7 @@ TEST(CApi, ConfigFieldRulesReadBack) {
       RESERVED_READS_BACK(clear_freed_objects, 0, 1),
       RESERVED_READS_BACK(address_ordered_allocation, 0, 1),
       RESERVED_READS_BACK(precise_free_slot_detection, 1, 0),
+      RESERVED_READS_BACK(root_scan_threads, 2u, 1u),
       {"exact fields copy 0 verbatim",
        [](cgc_config &In) {
          In.quarantine_slots = 0;
@@ -333,7 +333,7 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.heap_scan_alignment, In.heap_scan_alignment);
   EXPECT_EQ(Out.mark_threads, In.mark_threads);
   EXPECT_EQ(Out.sweep_threads, In.sweep_threads);
-  EXPECT_EQ(Out.root_scan_threads, In.root_scan_threads);
+  EXPECT_EQ(Out.root_scan_threads, 1u);
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
   EXPECT_EQ(Out.thread_cache_slots, In.thread_cache_slots);
   EXPECT_EQ(Out.all_interior_pointers_avoid_spans, 0);

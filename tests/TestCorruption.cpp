@@ -222,14 +222,13 @@ namespace {
 /// explicit free, three collections) and folds the retained set and
 /// heap counters into an FNV-1a digest.
 uint64_t workloadDigest(bool Sealed, unsigned MarkThreads,
-                        unsigned SweepThreads, unsigned RootScanThreads) {
+                        unsigned SweepThreads) {
   GcConfig Config;
   Config.MaxHeapBytes = 32 << 20;
   Config.GcAtStartup = false;
   Config.SealMetadata = Sealed;
   Config.MarkThreads = MarkThreads;
   Config.SweepThreads = SweepThreads;
-  Config.RootScanThreads = RootScanThreads;
   Collector GC(Config);
 
   std::vector<uint64_t> Window(4, 0);
@@ -268,18 +267,15 @@ uint64_t workloadDigest(bool Sealed, unsigned MarkThreads,
 // heap the sealed collector's retained set is bit-identical to the
 // unsealed one's at every tested worker-thread combination.
 TEST(Corruption, SealedCollectionsDigestIdenticalToUnsealed) {
-  const uint64_t Baseline = workloadDigest(false, 1, 1, 1);
+  const uint64_t Baseline = workloadDigest(false, 1, 1);
   const unsigned Threads[] = {1, 2, 4};
   for (unsigned Mark : Threads)
-    for (unsigned Sweep : Threads)
-      for (unsigned RootScan : Threads) {
-        EXPECT_EQ(workloadDigest(false, Mark, Sweep, RootScan), Baseline)
-            << "unsealed digest diverged at {" << Mark << "," << Sweep << ","
-            << RootScan << "}";
-        EXPECT_EQ(workloadDigest(true, Mark, Sweep, RootScan), Baseline)
-            << "sealed digest diverged at {" << Mark << "," << Sweep << ","
-            << RootScan << "}";
-      }
+    for (unsigned Sweep : Threads) {
+      EXPECT_EQ(workloadDigest(false, Mark, Sweep), Baseline)
+          << "unsealed digest diverged at {" << Mark << "," << Sweep << "}";
+      EXPECT_EQ(workloadDigest(true, Mark, Sweep), Baseline)
+          << "sealed digest diverged at {" << Mark << "," << Sweep << "}";
+    }
 }
 
 // Sealed-mode accounting: the seal/unseal transitions show up in the

@@ -2,6 +2,7 @@
 
 #include "core/RetentionTracer.h"
 #include "structures/FalseRef.h"
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace cgc;
@@ -167,3 +168,98 @@ TEST(RetentionTracer, DoesNotDisturbMarkBits) {
   (void)Tracer.explain(Obj);
   EXPECT_TRUE(GC.wasMarkedLive(Obj)) << "tracing must not clear marks";
 }
+
+namespace {
+
+// One root word planted at a byte offset of a root buffer points at
+// object A; A holds a pointer to B at byte offset 4, which only a
+// 4-byte heap stride reads.  Expect* say what the marker must find.
+struct DecoderCase {
+  const char *Name;
+  RootEncoding Encoding;
+  unsigned RootAlignment;
+  unsigned RootOffset;
+  unsigned HeapAlignment;
+  bool ExpectA;
+  bool ExpectB;
+};
+
+void PrintTo(const DecoderCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
+class TracerMarkerAgreement : public ::testing::TestWithParam<DecoderCase> {
+};
+
+} // namespace
+
+// The tracer and the marker read words through the same decoder, so for
+// every encoding and stride the tracer reaches exactly what the marker
+// marks live.
+TEST_P(TracerMarkerAgreement, ReachedEqualsMarkedLive) {
+  const DecoderCase &Case = GetParam();
+  GcConfig Config = tracerConfig();
+  Config.RootScanAlignment = Case.RootAlignment;
+  Config.HeapScanAlignment = Case.HeapAlignment;
+  Collector GC(Config);
+  void *A = GC.allocate(32);
+  void *B = GC.allocate(32);
+  void *C = GC.allocate(32); // Referenced by nothing.
+  uint64_t BWord = reinterpret_cast<uint64_t>(B);
+  std::memcpy(static_cast<unsigned char *>(A) + 4, &BWord, sizeof(BWord));
+
+  alignas(8) unsigned char Roots[24] = {};
+  if (Case.Encoding == RootEncoding::Native64) {
+    uint64_t Word = reinterpret_cast<uint64_t>(A);
+    std::memcpy(Roots + Case.RootOffset, &Word, sizeof(Word));
+  } else {
+    auto Word = static_cast<uint32_t>(GC.windowOffsetOf(A));
+    bool BigEndian = Case.Encoding == RootEncoding::Window32BE;
+    for (unsigned Byte = 0; Byte != 4; ++Byte)
+      Roots[Case.RootOffset + Byte] = static_cast<unsigned char>(
+          Word >> (8 * (BigEndian ? 3 - Byte : Byte)));
+  }
+  GC.addRootRange(Roots, Roots + sizeof(Roots), Case.Encoding,
+                  RootSource::StaticData, "decoder-roots");
+
+  GC.measureLiveness();
+  RetentionTracer Tracer(GC);
+  for (void *P : {A, B, C})
+    EXPECT_EQ(Tracer.explain(P).Reached, GC.wasMarkedLive(P));
+  EXPECT_EQ(GC.wasMarkedLive(A), Case.ExpectA);
+  EXPECT_EQ(GC.wasMarkedLive(B), Case.ExpectB);
+  EXPECT_FALSE(GC.wasMarkedLive(C));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Encodings, TracerMarkerAgreement,
+    ::testing::Values(
+        DecoderCase{"Native64_Align1_Off3", RootEncoding::Native64, 1, 3, 8,
+                    true, false},
+        DecoderCase{"Native64_Align4_Off4", RootEncoding::Native64, 4, 4, 8,
+                    true, false},
+        DecoderCase{"Native64_Align8_Off4", RootEncoding::Native64, 8, 4, 8,
+                    false, false},
+        DecoderCase{"Window32LE_Align1_Off3", RootEncoding::Window32LE, 1, 3,
+                    8, true, false},
+        DecoderCase{"Window32LE_Align2_Off3", RootEncoding::Window32LE, 2, 3,
+                    8, false, false},
+        DecoderCase{"Window32LE_Align2_Off6", RootEncoding::Window32LE, 2, 6,
+                    8, true, false},
+        DecoderCase{"Window32LE_Align4_Off6", RootEncoding::Window32LE, 4, 6,
+                    8, false, false},
+        DecoderCase{"Window32BE_Align1_Off5", RootEncoding::Window32BE, 1, 5,
+                    8, true, false},
+        DecoderCase{"Window32BE_Align2_Off5", RootEncoding::Window32BE, 2, 5,
+                    8, false, false},
+        DecoderCase{"Window32BE_Align2_Off10", RootEncoding::Window32BE, 2,
+                    10, 8, true, false},
+        DecoderCase{"Window32BE_Align4_Off10", RootEncoding::Window32BE, 4,
+                    10, 8, false, false},
+        DecoderCase{"Window32BE_Align4_Off12", RootEncoding::Window32BE, 4,
+                    12, 8, true, false},
+        DecoderCase{"HeapStride4_PointerAtOffset4", RootEncoding::Native64, 8,
+                    0, 4, true, true},
+        DecoderCase{"HeapStride8_PointerAtOffset4", RootEncoding::Native64, 8,
+                    0, 8, true, false}),
+    [](const ::testing::TestParamInfo<DecoderCase> &Info) {
+      return std::string(Info.param.Name);
+    });

@@ -195,64 +195,6 @@ TEST(ThreadRegistry, ZeroRegisteredThreadsBitIdenticalToSequential) {
          "threads";
 }
 
-// Parallel root scanning is gather-then-replay: the marked set, the
-// root-scan counters, and the blacklist must be bit-identical for any
-// RootScanThreads value.
-TEST(ThreadRegistry, ParallelRootScanBitIdentical) {
-  auto census = [](unsigned Workers) {
-    GcConfig Config = testConfig();
-    Config.RootScanThreads = Workers;
-    Collector GC(Config);
-    Rng R(5555);
-    // Several root ranges so the gather has spans to distribute.
-    std::vector<std::vector<uint64_t>> Windows(
-        6, std::vector<uint64_t>(64, 0));
-    for (auto &W : Windows)
-      GC.addRootRange(W.data(), W.data() + W.size(),
-                      RootEncoding::Native64, RootSource::Client,
-                      "window");
-    for (int Step = 0; Step != 3000; ++Step) {
-      void *P = GC.allocate(R.nextInRange(8, 512));
-      if (R.nextBool(0.6)) {
-        auto &W = Windows[R.pickIndex(Windows.size())];
-        W[R.pickIndex(W.size())] = reinterpret_cast<uint64_t>(P);
-      } else if (R.nextBool(0.3)) {
-        // Plant a near miss: one byte past the object.
-        auto &W = Windows[R.pickIndex(Windows.size())];
-        W[R.pickIndex(W.size())] =
-            reinterpret_cast<uint64_t>(P) + R.nextInRange(513, 4096);
-      }
-    }
-    CollectionStats Cycle = GC.collect("census");
-    return std::vector<uint64_t>{
-        Cycle.ObjectsMarked,   Cycle.BytesMarked,
-        Cycle.RootHits,        Cycle.RootCandidatesExamined,
-        Cycle.RootBytesScanned, Cycle.NearMisses,
-        Cycle.BlacklistedPages, Cycle.ObjectsSweptFree,
-        Cycle.BytesLive};
-  };
-  std::vector<uint64_t> Seq = census(1);
-  std::vector<uint64_t> Par4 = census(4);
-  std::vector<uint64_t> Par8 = census(8);
-  EXPECT_EQ(Seq, Par4);
-  EXPECT_EQ(Seq, Par8);
-}
-
-TEST(ThreadRegistry, RootScanWorkerCountRecorded) {
-  GcConfig Config = testConfig();
-  Config.RootScanThreads = 4;
-  Collector GC(Config);
-  std::vector<uint64_t> A(64, 0), B(64, 0);
-  GC.addRootRange(A.data(), A.data() + A.size(), RootEncoding::Native64,
-                  RootSource::Client, "a");
-  GC.addRootRange(B.data(), B.data() + B.size(), RootEncoding::Native64,
-                  RootSource::Client, "b");
-  A[0] = reinterpret_cast<uint64_t>(GC.allocate(64));
-  CollectionStats Cycle = GC.collect("workers");
-  EXPECT_EQ(Cycle.RootScanWorkers, 4u);
-  EXPECT_GE(Cycle.ObjectsLive, 1u);
-}
-
 // The async-signal-safe crash report gains a threads line exactly when
 // thread state exists; the single-mutator report stays byte-identical.
 TEST(ThreadRegistry, CrashReportShowsThreadState) {

@@ -14,7 +14,7 @@
 //     collector must be indistinguishable from an untyped collector
 //     running the same allocation stream — retained sets, liveness
 //     counters, blacklist, and free-list order — at every
-//     {MarkThreads, SweepThreads, RootScanThreads} combination.
+//     {MarkThreads, SweepThreads} combination.
 //   * The C API round-trip (cgc_register_descriptor /
 //     cgc_malloc_explicitly_typed) and the fourth object kind
 //     (cgc_malloc_atomic_uncollectable) behave like their C++
@@ -421,10 +421,9 @@ void expectIdentical(const FuzzResult &A, const FuzzResult &B,
 
 TEST(TypedMark, AllConservativeIsBitIdenticalAtAnyWorkerCombination) {
   struct Combo {
-    unsigned Mark, Sweep, Roots;
+    unsigned Mark, Sweep;
   };
-  constexpr Combo Combos[] = {
-      {1, 1, 1}, {4, 1, 1}, {1, 4, 1}, {1, 1, 4}, {4, 4, 4}};
+  constexpr Combo Combos[] = {{1, 1}, {4, 1}, {1, 4}, {4, 4}};
 
   for (uint64_t Seed : {11ull, 77ull}) {
     FuzzResult Reference; // Untyped, single-threaded: the ground truth.
@@ -433,7 +432,6 @@ TEST(TypedMark, AllConservativeIsBitIdenticalAtAnyWorkerCombination) {
       GcConfig Untyped = typedConfig();
       Untyped.MarkThreads = C.Mark;
       Untyped.SweepThreads = C.Sweep;
-      Untyped.RootScanThreads = C.Roots;
       GcConfig Demoted = Untyped;
       Demoted.AllConservativeDescriptors = true;
 
@@ -461,8 +459,8 @@ TEST(TypedMark, AllConservativeIsBitIdenticalAtAnyWorkerCombination) {
 
       char What[128];
       std::snprintf(What, sizeof(What),
-                    "seed %llu mark=%u sweep=%u roots=%u",
-                    (unsigned long long)Seed, C.Mark, C.Sweep, C.Roots);
+                    "seed %llu mark=%u sweep=%u",
+                    (unsigned long long)Seed, C.Mark, C.Sweep);
       expectIdentical(Baseline, Twin, What);
       if (!HaveReference) {
         Reference = Baseline;
