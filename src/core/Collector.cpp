@@ -288,6 +288,7 @@ void Collector::publishHandshakeCrashState() {
 
 Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
     : GC(GC) {
+  GC.ActiveWorld = this;
   if (!GC.ThreadedMode.load(std::memory_order_relaxed) ||
       GC.Registry.registeredCount() == 0)
     return;
@@ -342,6 +343,7 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
 }
 
 Collector::StoppedWorld::~StoppedWorld() {
+  GC.ActiveWorld = nullptr;
   if (Stopped) {
     GC.StopInitiator.store(nullptr, std::memory_order_release);
     GC.Registry.resumeTheWorld();
@@ -354,6 +356,10 @@ Collector::StoppedWorld::~StoppedWorld() {
 template <typename BodyT>
 __attribute__((noinline)) void
 Collector::StoppedWorld::withRoots(BodyT &&Body) {
+  // A nested call, from a callback inside Body, finds the ranges
+  // already added.  Body keeps a single call site, so it still inlines
+  // into this frame, where the machine-stack range starts.
+  const bool Outermost = !RootsAdded;
   // One register buffer serves both shapes: MachineStack::capture
   // fills it for an unregistered collecting thread, setjmp for a
   // registered one.  Stopped mutators published their own stack tops
@@ -364,7 +370,7 @@ Collector::StoppedWorld::withRoots(BodyT &&Body) {
   // The MachineStack base belongs to whichever thread enabled
   // scanning, which need not be a registered collecting thread; that
   // one is covered by its mutator ranges instead.
-  if (GC.MachineStackScanner && Self == nullptr) {
+  if (Outermost && GC.MachineStackScanner && Self == nullptr) {
     MachineStack::Snapshot Snap = GC.MachineStackScanner->capture(Registers);
     RootIds.push_back(Roots.addRange(Snap.HotEnd, Snap.Base,
                                      RootEncoding::Native64,
@@ -373,7 +379,7 @@ Collector::StoppedWorld::withRoots(BodyT &&Body) {
                                      RootEncoding::Native64,
                                      RootSource::Registers, "machine-regs"));
   }
-  if (Stopped) {
+  if (Outermost && Stopped) {
     if (Self)
       setjmp(Registers);
     // Published tops are probe-local addresses with no particular
@@ -423,7 +429,11 @@ Collector::StoppedWorld::withRoots(BodyT &&Body) {
                                        RootSource::Registers, "mutator-regs"));
     });
   }
+  RootsAdded = true;
   Body();
+  if (!Outermost)
+    return;
+  RootsAdded = false;
   for (RootId Id : RootIds)
     Roots.removeRange(Id);
   RootIds.clear();
@@ -1479,6 +1489,21 @@ CollectionStats Collector::measureLiveness() {
   CollectionStats Cycle;
   World.withRoots([&] { MarkerImpl->runMark(Roots, Cycle); });
   return Cycle;
+}
+
+bool Collector::withAllRoots(
+    const std::function<void(const RootSet &)> &Body) {
+  HeapLockGuard HeapGuard(*this);
+  auto Run = [&] { Body(Roots); };
+  if (ActiveWorld) {
+    ActiveWorld->withRoots(Run);
+    return true;
+  }
+  StoppedWorld World(*this, /*FlushCaches=*/false);
+  if (World.abandoned())
+    return false;
+  World.withRoots(Run);
+  return true;
 }
 
 HeapVerifyReport Collector::verifyHeapReport() {

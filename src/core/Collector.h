@@ -160,6 +160,16 @@ public:
   /// BytesMarked carry the answer.
   CollectionStats measureLiveness();
 
+  /// Runs \p Body on the root set a collection scans: the registered
+  /// ranges plus the machine-stack and register ranges, or every
+  /// registered mutator's stack and registers, that the stopped-world
+  /// window adds.  Stops the world as measureLiveness() does, but runs
+  /// no pre-collection hook; a callback inside a collection reuses
+  /// that collection's stopped world.  The ranges exist only while
+  /// \p Body runs.  \returns false, without running \p Body, if the
+  /// handshake timed out.
+  bool withAllRoots(const std::function<void(const RootSet &)> &Body);
+
   //===--------------------------------------------------------------===//
   // Roots
   //===--------------------------------------------------------------===//
@@ -656,6 +666,9 @@ private:
     MutatorThread *Self = nullptr;
     bool Stopped = false;
     bool Abandoned = false;
+    /// withRoots is running its body: a nested call finds the ranges
+    /// already added.
+    bool RootsAdded = false;
     std::vector<RootId> RootIds;
   };
   /// ThreadRegistry::StallWarnFn target: routes a watchdog stall report
@@ -839,6 +852,9 @@ private:
   /// against its own stop request, so a callback that allocates cannot
   /// self-deadlock (see DESIGN.md "Callback re-entrancy").
   std::atomic<MutatorThread *> StopInitiator{nullptr};
+  /// The live StoppedWorld, if any: withAllRoots called back from
+  /// inside a collection scans through it instead of stopping again.
+  StoppedWorld *ActiveWorld = nullptr;
 };
 
 /// RAII mutator registration: registers the constructing thread with

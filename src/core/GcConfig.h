@@ -138,9 +138,9 @@ struct GcConfig {
 
   InteriorPolicy Interior = InteriorPolicy::All;
 
-  /// Byte stride between candidate loads when scanning roots.  4 models
-  /// word-aligned 32-bit platforms; 2 or 1 model platforms that must
-  /// honor unaligned pointers (the Figure-1 hazard).
+  /// Byte stride between candidate loads when scanning roots: 1, 2, 4
+  /// or 8.  4 models word-aligned 32-bit platforms; 2 or 1 model
+  /// platforms that must honor unaligned pointers (the Figure-1 hazard).
   unsigned RootScanAlignment = 4;
   /// Byte stride when scanning heap objects for pointers (native
   /// 8-byte words; normally 8).

@@ -38,20 +38,15 @@ std::string RetentionTrace::describe() const {
   return Text;
 }
 
-RetentionTrace RetentionTracer::explain(const void *Target) {
-  RetentionTrace Result;
-  if (!GC.isHeapPointer(Target))
-    return Result;
+namespace {
+
+/// Traces from \p Roots and the uncollectable objects to the object
+/// keyed \p TargetKey, breadth first, and fills \p Result with the
+/// chain.  \p Roots' ranges are valid only during the call.
+void traceFrom(Collector &GC, const RootSet &Roots, uint64_t TargetKey,
+               RetentionTrace &Result) {
   Marker &M = GC.marker();
-  VirtualArena &Arena = GC.arena();
   ObjectHeap &Heap = GC.objectHeap();
-
-  ObjectRef TargetRef = M.resolveCandidate(
-      Arena.offsetOf(reinterpret_cast<Address>(Target)));
-  if (!TargetRef.valid())
-    return Result;
-  uint64_t TargetKey = keyOf(TargetRef);
-
   std::unordered_map<uint64_t, Provenance> Visited;
   std::deque<uint64_t> Queue;
   std::vector<const RootRange *> RootRanges;
@@ -94,8 +89,7 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
         Found = Key == TargetKey;
       });
 
-  // Registered root ranges, honoring exclusions, encodings, alignment.
-  RootSet &Roots = GC.roots();
+  // Root ranges, honoring exclusions, encodings, alignment.
   Roots.forEach([&](const RootRange &Range) {
     if (Found)
       return;
@@ -130,7 +124,7 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   }
 
   if (!Visited.count(TargetKey))
-    return Result;
+    return;
 
   // Reconstruct the chain target -> ... -> root, then reverse.
   Result.Reached = true;
@@ -160,5 +154,24 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     Cursor = P.ParentKey;
   }
   Result.Chain.assign(Reversed.rbegin(), Reversed.rend());
+}
+
+} // namespace
+
+RetentionTrace RetentionTracer::explain(const void *Target) {
+  RetentionTrace Result;
+  if (!GC.isHeapPointer(Target))
+    return Result;
+  ObjectRef TargetRef = GC.marker().resolveCandidate(
+      GC.arena().offsetOf(reinterpret_cast<Address>(Target)));
+  if (!TargetRef.valid())
+    return Result;
+  uint64_t TargetKey = keyOf(TargetRef);
+  // The collector's own ranges (machine stack, registers, mutator
+  // threads) exist only with the world stopped, so the whole trace
+  // runs inside that window.
+  GC.withAllRoots([&](const RootSet &Roots) {
+    traceFrom(GC, Roots, TargetKey, Result);
+  });
   return Result;
 }

@@ -13,12 +13,15 @@
 /// performance problems they observed.")
 ///
 /// The tracer runs a provenance-recording reachability pass from the
-/// current root set and reconstructs, for a target object, the chain
-/// root word -> object -> object -> ... -> target, labeling the root
-/// range (static data / stack / registers / client) the chain starts
-/// from.  False retention debugging then reads off directly: a chain
-/// starting at an integer table or a dead stack slot is a
-/// misidentification; a chain starting at a client root is a real leak.
+/// root set a collection scans (Collector::withAllRoots: the registered
+/// ranges plus the machine stack and registers, or every registered
+/// mutator's, with the world stopped) and reconstructs, for a target
+/// object, the chain root word -> object -> object -> ... -> target,
+/// labeling the root range (static data / stack / registers / client)
+/// the chain starts from.  False retention debugging then reads off
+/// directly: a chain starting at an integer table or a dead stack slot
+/// is a misidentification; a chain starting at a client root is a real
+/// leak.
 ///
 /// The pass uses its own visited set and does not disturb mark bits.
 ///

@@ -11,6 +11,13 @@
 #include <algorithm>
 #include <chrono>
 #include <pthread.h>
+#include <unistd.h>
+
+#if defined(__GLIBC__)
+// The stack pointer at process entry, exported by glibc's dynamic
+// linker; bdwgc reads it the same way for the main thread's stack base.
+extern "C" void *__libc_stack_end;
+#endif
 
 namespace cgc {
 
@@ -62,11 +69,18 @@ const void *ThreadRegistry::currentStackBase() {
       return static_cast<const unsigned char *>(Addr) + Size;
   }
 #endif
-  // Fallback: an address in the caller's frame.  Frames entered after
-  // registration sit below it on a downward-growing stack, so the
-  // scannable range still covers every later local.
-  volatile char Probe = 0;
-  return const_cast<const char *>(&Probe);
+  // Frames entered after registration sit below the fallback on a
+  // downward-growing stack, so the scannable range still covers every
+  // later local.
+  return fallbackStackBase();
+}
+
+const void *ThreadRegistry::mainThreadStackTop() {
+#if defined(__GLIBC__)
+  if (gettid() == getpid())
+    return __libc_stack_end;
+#endif
+  return nullptr;
 }
 
 MutatorThread *ThreadRegistry::registerThread(const void *StackBase,

@@ -173,10 +173,21 @@ public:
   static MutatorThread *current();
 
   /// Best-effort high end of the calling thread's stack: the pthread
-  /// stack extent where the platform exposes it, else an address in the
-  /// caller's frame (in that case register near the thread's entry
-  /// point, since shallower frames are invisible to the collector).
+  /// stack extent where the platform exposes it, else
+  /// fallbackStackBase().
   static const void *currentStackBase();
+
+  /// The stack base used when the pthread extent is unknown: the top of
+  /// the process's initial stack (glibc's __libc_stack_end) on the main
+  /// thread, else the frame address of the function this is inlined
+  /// into (in that case register near the thread's entry point, since
+  /// shallower frames are invisible to the collector).  Never null, and
+  /// never below a local of the calling frame.
+  __attribute__((always_inline)) static const void *fallbackStackBase() {
+    if (const void *Top = mainThreadStackTop())
+      return Top;
+    return __builtin_frame_address(0);
+  }
 
   /// True while a stop-the-world is in flight.  Mutators poll this on
   /// the allocation fast path and in cgc_safepoint().
@@ -303,6 +314,10 @@ public:
   void unlockForFork() { Lock.unlock(); }
 
 private:
+  /// __libc_stack_end when called on the process's main thread under
+  /// glibc, else null.
+  static const void *mainThreadStackTop();
+
   void parkAtSafepoint(MutatorThread *Self);
   /// Publishes \p Self's stack top and register snapshot.  Must not be
   /// inlined into a frame that dies before the state is consumed; the

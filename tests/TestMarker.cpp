@@ -2,8 +2,12 @@
 
 #include "core/Collector.h"
 #include "structures/FalseRef.h"
+#include "support/Random.h"
+#include <bit>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 using namespace cgc;
 
@@ -185,4 +189,157 @@ TEST(Marker, RootSourceStatsTracked) {
   CollectionStats Cycle = GC.collect();
   EXPECT_EQ(Cycle.RootBytesScanned, 16u);
   EXPECT_EQ(Cycle.RootCandidatesExamined, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Root decoder against a reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using RootHit = std::pair<WindowOffset, const unsigned char *>;
+
+size_t wordBytes(RootEncoding Encoding) {
+  return Encoding == RootEncoding::Native64 ? 8 : 4;
+}
+
+bool storedBigEndian(RootEncoding Encoding) {
+  return Encoding == RootEncoding::Window32BE ||
+         (Encoding == RootEncoding::Native64 &&
+          std::endian::native == std::endian::big);
+}
+
+/// Writes \p Value at \p At as \p Encoding stores a word, one byte at
+/// a time.
+void plantWord(unsigned char *At, RootEncoding Encoding, uint64_t Value) {
+  size_t Bytes = wordBytes(Encoding);
+  bool BigEndian = storedBigEndian(Encoding);
+  for (size_t I = 0; I != Bytes; ++I)
+    At[I] = static_cast<unsigned char>(
+        Value >> (8 * (BigEndian ? Bytes - 1 - I : I)));
+}
+
+/// The decoder's contract, spelled out byte by byte: every word that
+/// fits whole in [Begin, End) at multiples of \p Stride, assembled in
+/// the encoding's byte order, is a hit when it lands in the window of
+/// \p Size bytes at \p Lo (Native64) or is an offset below \p Size
+/// (Window32).
+std::vector<RootHit> referenceDecode(const unsigned char *Begin,
+                                     const unsigned char *End,
+                                     RootEncoding Encoding, unsigned Stride,
+                                     uint64_t Lo, uint64_t Size,
+                                     uint64_t &Examined) {
+  std::vector<RootHit> Hits;
+  size_t Bytes = wordBytes(Encoding);
+  bool BigEndian = storedBigEndian(Encoding);
+  Examined = 0;
+  for (size_t At = 0; At + Bytes <= static_cast<size_t>(End - Begin);
+       At += Stride) {
+    ++Examined;
+    uint64_t Value = 0;
+    for (size_t I = 0; I != Bytes; ++I)
+      Value |= uint64_t(Begin[At + I])
+               << (8 * (BigEndian ? Bytes - 1 - I : I));
+    if (Encoding == RootEncoding::Native64) {
+      if (Value >= Lo && Value - Lo < Size)
+        Hits.push_back({Value - Lo, Begin + At});
+    } else if (Value < Size) {
+      Hits.push_back({Value, Begin + At});
+    }
+  }
+  return Hits;
+}
+
+} // namespace
+
+// forEachRootCandidate against the byte-by-byte reference: every
+// encoding, stride, span length 0..40 and begin misalignment 0..7, with
+// hits planted at random byte offsets, at both edges of the window, and
+// in a word that straddles End (which must not be read).
+TEST(Marker, RootDecoderMatchesReference) {
+  const RootEncoding Encodings[] = {RootEncoding::Native64,
+                                    RootEncoding::Window32LE,
+                                    RootEncoding::Window32BE};
+  Rng R(0x5eed);
+  for (unsigned Stride : {1u, 2u, 4u, 8u}) {
+    GcConfig Config = markerConfig();
+    Config.RootScanAlignment = Stride;
+    Collector GC(Config);
+    const Marker &M = GC.marker();
+    const uint64_t Lo = GC.arena().base();
+    const uint64_t Size = GC.arena().size();
+    for (RootEncoding Encoding : Encodings) {
+      const bool Native = Encoding == RootEncoding::Native64;
+      const size_t Bytes = wordBytes(Encoding);
+      // The window's edges from both sides, plus values inside it.
+      std::vector<uint64_t> Edges =
+          Native ? std::vector<uint64_t>{Lo - 1, Lo, Lo + Size - 1,
+                                         Lo + Size, Lo + Size / 2}
+                 : std::vector<uint64_t>{Size - 1, Size, 0, Size / 3,
+                                         0xffffffffu};
+      RootRange Range;
+      Range.Encoding = Encoding;
+      for (size_t Len = 0; Len <= 40; ++Len) {
+        for (size_t Misalign = 0; Misalign != 8; ++Misalign) {
+          for (unsigned Trial = 0; Trial != 4; ++Trial) {
+            // The longest span at the largest misalignment, with a
+            // word of slack on each side: a word straddling End then
+            // holds a hit the decoder must not see.
+            alignas(8) unsigned char Buffer[8 + 40 + 8 + 8];
+            for (unsigned char &Byte : Buffer)
+              Byte = static_cast<unsigned char>(R.next64());
+            unsigned char *Begin = Buffer + 8 + Misalign;
+            unsigned char *End = Begin + Len;
+            for (unsigned Plant = 0; Plant != 3 && Len >= Bytes; ++Plant)
+              plantWord(Begin + R.nextBelow(Len - Bytes + 1), Encoding,
+                        Edges[R.pickIndex(Edges.size())]);
+            if (Len + 1 >= Bytes)
+              plantWord(End - Bytes + 1 + R.nextBelow(Bytes - 1), Encoding,
+                        Native ? Lo + 64 : 64);
+
+            uint64_t WantExamined = 0;
+            std::vector<RootHit> Want = referenceDecode(
+                Begin, End, Encoding, Stride, Lo, Size, WantExamined);
+            std::vector<RootHit> Got;
+            uint64_t Examined = M.forEachRootCandidate(
+                Range, Begin, End,
+                [&](WindowOffset Candidate, const unsigned char *Word) {
+                  Got.push_back({Candidate, Word});
+                });
+            ASSERT_EQ(Examined, WantExamined)
+                << "encoding " << int(Encoding) << " stride " << Stride
+                << " length " << Len << " misalignment " << Misalign;
+            ASSERT_EQ(Got, Want)
+                << "encoding " << int(Encoding) << " stride " << Stride
+                << " length " << Len << " misalignment " << Misalign;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A registered range with an exclusion hole is scanned as its two
+// scannable pieces: the second starts at an odd byte, so only words at
+// 257 + 4k are read.  The counts below are the words and hits of that
+// layout at the default stride of 4.
+TEST(Marker, ExclusionHoleRootCounts) {
+  Collector GC(markerConfig());
+  alignas(8) unsigned char Range[512] = {};
+  auto Plant = [&](size_t At) {
+    uint64_t Word = reinterpret_cast<uint64_t>(GC.allocate(32));
+    std::memcpy(Range + At, &Word, sizeof(Word));
+  };
+  Plant(16);  // Read: offset 16 of the first piece.
+  Plant(161); // Inside the hole.
+  Plant(261); // Read: 257 + 4.
+  Plant(400); // Not on the second piece's stride.
+  GC.addRootRange(Range, Range + sizeof(Range), RootEncoding::Native64,
+                  RootSource::StaticData, "holed");
+  GC.addRootExclusion(Range + 130, Range + 257);
+  CollectionStats Cycle = GC.collect();
+  EXPECT_EQ(Cycle.RootBytesScanned, 130u + 255u);
+  EXPECT_EQ(Cycle.RootCandidatesExamined,
+            ((130u - 8) / 4 + 1) + ((255u - 8) / 4 + 1));
+  EXPECT_EQ(Cycle.RootHits, 2u);
 }

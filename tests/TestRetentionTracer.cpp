@@ -43,6 +43,64 @@ TEST(RetentionTracer, DirectRootReference) {
   EXPECT_EQ(Trace.Chain[0].ObjectBase, GC.windowOffsetOf(Obj));
 }
 
+// The tracer scans the root set a census does, the collector's own
+// machine-stack and register ranges included: an object held only by a
+// local is reached exactly when measureLiveness marks it live.
+TEST(RetentionTracer, ReachesObjectsHeldOnlyByTheMachineStack) {
+  Collector GC(tracerConfig());
+  GC.enableMachineStackScanning();
+  Node *Obj = static_cast<Node *>(GC.allocate(sizeof(Node)));
+  // Keep Obj live, and nowhere but this frame, across both scans.
+  __asm__ volatile("" ::"r"(Obj) : "memory");
+  GC.measureLiveness();
+  ASSERT_TRUE(GC.wasMarkedLive(Obj));
+  RetentionTracer Tracer(GC);
+  RetentionTrace Trace = Tracer.explain(Obj);
+  EXPECT_TRUE(Trace.Reached);
+  EXPECT_TRUE(Trace.Source == RootSource::Stack ||
+              Trace.Source == RootSource::Registers)
+      << Trace.describe();
+  EXPECT_EQ(GC.roots().rangeCount(), 0u)
+      << "the stack and register ranges outlive the trace";
+  __asm__ volatile("" ::"r"(Obj) : "memory");
+}
+
+// A tracer called back from inside a collection (as the sentinel's
+// incident sampling is) scans through that collection's stopped world,
+// both while the phases run with the world's ranges added and after.
+TEST(RetentionTracer, ReachesStackRootsFromInsideACollection) {
+  Collector GC(tracerConfig());
+  GC.enableMachineStackScanning();
+  Node *Obj = static_cast<Node *>(GC.allocate(sizeof(Node)));
+  __asm__ volatile("" ::"r"(Obj) : "memory");
+  struct TraceInside : GcObserver {
+    Collector &GC;
+    void *Target;
+    bool ReachedInPhase = false;
+    bool ReachedAtEnd = false;
+    size_t RangesInPhase = 0;
+    TraceInside(Collector &GC, void *Target) : GC(GC), Target(Target) {}
+    void onPhaseEnd(GcPhase Phase, uint64_t, const CollectionStats &) override {
+      if (Phase != GcPhase::RootScan)
+        return;
+      ReachedInPhase = RetentionTracer(GC).explain(Target).Reached;
+      RangesInPhase = GC.roots().rangeCount();
+    }
+    void onCollectionEnd(uint64_t, const CollectionStats &) override {
+      ReachedAtEnd = RetentionTracer(GC).explain(Target).Reached;
+    }
+  } Observer(GC, Obj);
+  GC.addObserver(&Observer);
+  GC.collect();
+  EXPECT_TRUE(GC.wasMarkedLive(Obj));
+  EXPECT_TRUE(Observer.ReachedInPhase);
+  EXPECT_EQ(Observer.RangesInPhase, 2u)
+      << "the nested trace left the collection's own ranges in place";
+  EXPECT_TRUE(Observer.ReachedAtEnd);
+  EXPECT_EQ(GC.roots().rangeCount(), 0u);
+  __asm__ volatile("" ::"r"(Obj) : "memory");
+}
+
 TEST(RetentionTracer, ChainThroughHeap) {
   Collector GC(tracerConfig());
   Node *C = static_cast<Node *>(GC.allocate(sizeof(Node)));

@@ -153,6 +153,21 @@ TEST(ThreadRegistry, SelfCollectScansOwnStack) {
   Worker.join();
 }
 
+// The fallback stack base must lie at or above every local of the
+// frame that asks for it, on the main thread and on any other: a null
+// or too-low base hides the registering thread's own frames.
+TEST(ThreadRegistry, FallbackStackBaseCoversTheCallingFrame) {
+  auto Check = [] {
+    volatile char Local = 0;
+    const void *Base = ThreadRegistry::fallbackStackBase();
+    ASSERT_NE(Base, nullptr);
+    EXPECT_GT(reinterpret_cast<uintptr_t>(Base),
+              reinterpret_cast<uintptr_t>(&Local));
+  };
+  Check();
+  std::thread(Check).join();
+}
+
 // The sticky threaded-mode flag must not perturb the sequential
 // collector: a collector that saw one (idle) registration runs the
 // same workload bit-identically to one that never did — same window
