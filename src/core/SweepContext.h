@@ -24,7 +24,9 @@
 ///      order, exactly the order the sequential sweep would, so class
 ///      lists and recycled block ids come out bit-identical for any
 ///      worker count; per-worker results summed.
-///   4. finishSweep — sequential epilogue: large releases, stats.
+///   4. finishSweep — sequential epilogue: large releases, then the
+///      page runs of every block released since step 1 freed in one
+///      batch (one decommit per run of adjacent pages), stats.
 ///
 /// With SweepThreads == 1 the context calls the per-block steps inline
 /// on the caller's thread, reproducing ObjectHeap::sweep() exactly.

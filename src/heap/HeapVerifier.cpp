@@ -467,7 +467,7 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
         if (Start + P >= Base && Start + P < Limit)
           Owned[Start + P - Base] = true;
     });
-    std::vector<std::pair<PageIndex, uint32_t>> Runs;
+    std::vector<PageRun> Runs;
     for (PageIndex P = 0; P < Limit - Base;) {
       if (Owned[P]) {
         ++P;
@@ -478,7 +478,7 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
         ++P;
       Runs.emplace_back(Base + RunStart, P - RunStart);
     }
-    Pages.rebuildFreeRuns(Runs);
+    Pages.rebuildFreeRuns(std::move(Runs));
   }
 
   // (f) Recompute the heap-wide allocated-bytes counter.

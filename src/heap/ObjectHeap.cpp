@@ -3,6 +3,7 @@
 #include "heap/ObjectHeap.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
+#include <bit>
 #include <cstring>
 
 using namespace cgc;
@@ -357,46 +358,91 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   }
 }
 
+/// Sets \p Block's pin bits to its marked free slots (mark & ~alloc),
+/// 64 slots per step, and recounts PinnedCount.
+static void pinMarkedFreeSlots(BlockDescriptor &Block) {
+  uint32_t Pinned = 0;
+  for (size_t W = 0; W != Block.PinnedBits.numWords(); ++W) {
+    uint64_t Pin = Block.MarkBits.word(W) & ~Block.AllocBits.word(W);
+    Block.PinnedBits.setWord(W, Pin);
+    Pinned += std::popcount(Pin);
+  }
+  Block.PinnedCount = Pinned;
+}
+
+void ObjectHeap::zeroDeadSlots(const BlockDescriptor &Block,
+                               const uint64_t *Dead, size_t NumWords) {
+  // One memset per run of adjacent dead slots.  A run may cross a word
+  // boundary, so an open run's first slot is carried to the next word.
+  constexpr size_t NoRun = ~size_t(0);
+  size_t RunBegin = NoRun;
+  auto Zero = [&](size_t Begin, size_t End) {
+    std::memset(Arena.pointerTo(Block.slotOffset(uint32_t(Begin))), 0,
+                (End - Begin) * Block.ObjectSize);
+  };
+  for (size_t W = 0; W != NumWords; ++W) {
+    uint64_t Bits = Dead[W];
+    unsigned Pos = 0;
+    while (true) {
+      if (RunBegin == NoRun) {
+        uint64_t Set = Bits >> Pos;
+        if (Set == 0)
+          break;
+        Pos += std::countr_zero(Set);
+        RunBegin = W * BitVector::BitsPerWord + Pos;
+      }
+      uint64_t Clear = ~Bits >> Pos;
+      if (Clear == 0)
+        break; // The run goes on into the next word.
+      Pos += std::countr_zero(Clear);
+      Zero(RunBegin, W * BitVector::BitsPerWord + Pos);
+      RunBegin = NoRun;
+    }
+  }
+  if (RunBegin != NoRun)
+    Zero(RunBegin, NumWords * BitVector::BitsPerWord);
+}
+
 uint64_t ObjectHeap::sweepSmallBlockBody(BlockDescriptor &Block,
                                          SweepResult &Result,
                                          SweepDisposition &Disposition) {
   CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
              "sweepSmallBlockBody on wrong block kind");
   validateGuardedBlock(Block, Result);
-  // Free unmarked allocated slots, pin marked free slots.  Everything
-  // written here is local to the block (its bitmaps, counts, and page
-  // contents) or to the caller's Result, so sweep workers can run this
-  // concurrently on disjoint blocks.
-  Block.PinnedBits.clearAll();
-  Block.PinnedCount = 0;
-  uint64_t BytesFreed = 0;
-  for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-    bool Marked = Block.MarkBits.test(Slot);
-    bool Allocated = Block.AllocBits.test(Slot);
-    if (Allocated && !Marked) {
-      Block.AllocBits.reset(Slot);
-      --Block.AllocatedCount;
-      BytesFreed += Block.ObjectSize;
-      Result.BytesSweptFree += Block.ObjectSize;
-      ++Result.ObjectsSweptFree;
-      std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
-                  Block.ObjectSize);
-    } else if (!Allocated && Marked) {
-      Block.PinnedBits.set(Slot);
-      ++Block.PinnedCount;
-    }
+  // Free unmarked allocated slots, pin marked free slots, 64 slots per
+  // step.  Everything written here is local to the block (its bitmaps,
+  // counts, and page contents) or to the caller's Result, so sweep
+  // workers can run this concurrently on disjoint blocks.
+  constexpr size_t MaxWords = PageSize / GranuleBytes / BitVector::BitsPerWord;
+  const size_t NumWords = Block.AllocBits.numWords();
+  CGC_ASSERT(NumWords <= MaxWords, "small block spans more than one page");
+  pinMarkedFreeSlots(Block);
+  uint64_t Dead[MaxWords];
+  uint32_t Freed = 0;
+  for (size_t W = 0; W != NumWords; ++W) {
+    uint64_t Alloc = Block.AllocBits.word(W);
+    uint64_t Mark = Block.MarkBits.word(W);
+    Dead[W] = Alloc & ~Mark;
+    Block.AllocBits.setWord(W, Alloc & Mark);
+    Freed += std::popcount(Dead[W]);
   }
+  Block.AllocatedCount -= Freed;
+  uint64_t BytesFreed = uint64_t(Freed) * Block.ObjectSize;
+  Result.BytesSweptFree += BytesFreed;
+  Result.ObjectsSweptFree += Freed;
   Result.ObjectsLive += Block.AllocatedCount;
   Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
   Result.SlotsPinned += Block.PinnedCount;
   if (Block.AllocatedCount == 0 && Block.PinnedCount == 0) {
+    // The block's pages are decommitted, so they read zero when reused
+    // without being cleared here.
     Result.PagesReleased += Block.NumPages;
     Disposition = SweepDisposition::Release;
-  } else if (Block.usableFreeCount() > 0) {
-    Disposition = SweepDisposition::Relist;
-  } else {
-    Disposition = SweepDisposition::Keep;
+    return BytesFreed;
   }
+  Disposition = Block.usableFreeCount() > 0 ? SweepDisposition::Relist
+                                            : SweepDisposition::Keep;
+  zeroDeadSlots(Block, Dead, NumWords);
   return BytesFreed;
 }
 
@@ -438,19 +484,15 @@ ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
     List.Unswept.clear();
   }
   PendingSweeps = 0;
+  // Blocks released from here to finishSweep free their pages there,
+  // in one batch: adjacent dead blocks then cost one decommit.
+  DeferPageReleases = true;
 
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
       // Never reclaimed; free slots may still be pinned by marks.
-      Block.PinnedBits.clearAll();
-      Block.PinnedCount = 0;
-      for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-        if (Block.MarkBits.test(Slot) && !Block.AllocBits.test(Slot)) {
-          Block.PinnedBits.set(Slot);
-          ++Block.PinnedCount;
-        }
-      }
+      pinMarkedFreeSlots(Block);
       Result.ObjectsLive += Block.AllocatedCount;
       Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
       Result.SlotsPinned += Block.PinnedCount;
@@ -491,6 +533,8 @@ void ObjectHeap::finishSweep(const SweepPlan &Plan,
                              const SweepResult &Result) {
   for (BlockId Id : Plan.LargeToRelease)
     releaseBlock(Id);
+  Pages.freeDeferredRuns();
+  DeferPageReleases = false;
   Stats.PinnedSlots = Result.SlotsPinned;
 }
 
@@ -649,7 +693,10 @@ void ObjectHeap::releaseBlock(BlockId Id) {
   if (!Block.IsLarge)
     removeFromClassList(Block);
   Map.clearRun(Block.StartPage, Block.NumPages);
-  Pages.freeRun(Block.StartPage, Block.NumPages);
+  if (DeferPageReleases)
+    Pages.deferFreeRun(Block.StartPage, Block.NumPages);
+  else
+    Pages.freeRun(Block.StartPage, Block.NumPages);
   ++Stats.BlocksReleased;
   Blocks.destroy(Id);
 }

@@ -27,7 +27,8 @@
 ///     conclusions recommend.
 ///   * A slot is zeroed when it is freed (sweep or explicit free), and
 ///     released page runs are decommitted, so every allocation hands
-///     out zeroed memory without clearing it again.
+///     out zeroed memory without clearing it again.  A block that sweep
+///     releases whole is not zeroed: its pages are decommitted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -299,21 +300,23 @@ public:
     /// applies dispositions in this order so recycled block ids and
     /// free page runs come out identical for any worker count.
     std::vector<BlockId> SmallBlocks;
-    /// Unmarked large blocks, released by finishSweep (the sequential
-    /// sweep has always deferred large releases to after the small
-    /// loop; keeping that order keeps free-page runs bit-identical).
+    /// Unmarked large blocks, released by finishSweep after the small
+    /// blocks, so recycled block ids come out in the same order for any
+    /// worker count.
     std::vector<BlockId> LargeToRelease;
   };
 
   /// Sequential sweep prologue: empties every class list, queues small
   /// blocks for lazy sweeping (LazySweep) or collects them into the
   /// returned plan, and handles uncollectable and large blocks inline
-  /// (they are cheap: per-slot bit scans with no memory clearing).
-  /// Accumulates their counters into \p Result.
+  /// (they are cheap: per-word bit scans with no memory clearing).
+  /// Accumulates their counters into \p Result.  Until finishSweep,
+  /// released blocks queue their page runs instead of freeing them.
   SweepPlan beginSweep(SweepResult &Result);
 
   /// Re-entrant per-block sweep body: frees unmarked slots, pins
-  /// marked-free slots, and accumulates counters into \p Result —
+  /// marked-free slots 64 at a time, zeroes the freed slots unless the
+  /// block is to be released, and accumulates counters into \p Result —
   /// touching ONLY \p Block's own metadata, the block's pages, and
   /// \p Result.  Safe to run concurrently on disjoint blocks.  The
   /// block's disposition is returned through \p Disposition; \returns
@@ -329,8 +332,10 @@ public:
   bool applySweepDisposition(BlockId Id, SweepDisposition Disposition,
                              uint64_t BytesFreed);
 
-  /// Sequential sweep epilogue: releases the plan's large blocks and
-  /// publishes \p Result's pinned-slot total into the heap stats.
+  /// Sequential sweep epilogue: releases the plan's large blocks, frees
+  /// every page run released since beginSweep in one batch (one
+  /// decommit per run of adjacent pages), and publishes \p Result's
+  /// pinned-slot total into the heap stats.
   void finishSweep(const SweepPlan &Plan, const SweepResult &Result);
 
   /// Sweeps one small block against its current mark bits: body +
@@ -415,6 +420,12 @@ private:
   /// Sweeps queued blocks of \p List until one offers a usable slot.
   /// \returns that block id, or InvalidBlockId.
   BlockId sweepUnsweptForAllocation(ClassList &List);
+  /// Zeroes \p Block's slots whose bits are set in \p Dead (its
+  /// \p NumWords words), with one memset per run of adjacent slots.
+  void zeroDeadSlots(const BlockDescriptor &Block, const uint64_t *Dead,
+                     size_t NumWords);
+  /// Frees the block's pages, or queues them for finishSweep between
+  /// beginSweep and finishSweep.
   void releaseBlock(BlockId Id);
   void removeFromClassList(BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);
@@ -437,6 +448,9 @@ private:
   uint64_t AllocatedBytes = 0;
   uint64_t CacheSlotDebt = 0;
   size_t PendingSweeps = 0;
+  /// Set from beginSweep to finishSweep: releaseBlock queues page runs
+  /// with PageAllocator::deferFreeRun instead of freeing them.
+  bool DeferPageReleases = false;
   bool EmergencyRelaxation = false;
 };
 

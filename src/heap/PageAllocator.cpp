@@ -4,6 +4,7 @@
 #include "support/Assert.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
+#include <algorithm>
 
 using namespace cgc;
 
@@ -26,6 +27,7 @@ PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
 std::optional<PageIndex>
 PageAllocator::allocateRun(uint32_t NumPages, PageConstraint Constraint) {
   CGC_CHECK(NumPages > 0, "allocating an empty page run");
+  CGC_ASSERT(Deferred.empty(), "allocating while freed runs are queued");
   while (true) {
     if (auto Start = findInFreeRuns(NumPages, Constraint)) {
       carveFromFreeRun(*Start, NumPages);
@@ -110,15 +112,38 @@ bool PageAllocator::grow(uint32_t AtLeastPages) {
   return true;
 }
 
-void PageAllocator::freeRun(PageIndex Start, uint32_t NumPages) {
-  CGC_CHECK(NumPages > 0, "freeing an empty page run");
-  CGC_CHECK(Start >= BasePage &&
-                uint64_t(Start) + NumPages <= arenaLimitPage(),
-            "freeing pages outside the heap arena");
+void PageAllocator::freeRuns(std::span<PageRun> Runs) {
+  std::sort(Runs.begin(), Runs.end());
+  for (size_t I = 0; I != Runs.size();) {
+    PageIndex Start = Runs[I].first;
+    PageIndex End = Start;
+    // Merge the runs that follow without a gap into [Start, End).
+    for (; I != Runs.size() && Runs[I].first <= End; ++I) {
+      auto [RunStart, NumPages] = Runs[I];
+      CGC_CHECK(NumPages > 0, "freeing an empty page run");
+      CGC_CHECK(RunStart >= BasePage &&
+                    uint64_t(RunStart) + NumPages <= arenaLimitPage(),
+                "freeing pages outside the heap arena");
+      CGC_CHECK(RunStart == End, "double free of a page run");
+      End += NumPages;
+    }
+    if (Start < CommitLimit) {
+      PageIndex Committed = std::min(End, CommitLimit);
+      Arena.decommit(offsetOfPage(Start),
+                     uint64_t(Committed - Start) * PageSize);
+      ++Stats.Decommits;
+      Stats.DecommittedPages += Committed - Start;
+    }
+    insertFreeRun(Start, End - Start);
+  }
+}
 
-  if (Start < CommitLimit)
-    Arena.decommit(offsetOfPage(Start), uint64_t(NumPages) * PageSize);
+void PageAllocator::freeDeferredRuns() {
+  freeRuns(Deferred);
+  Deferred.clear();
+}
 
+void PageAllocator::insertFreeRun(PageIndex Start, uint32_t NumPages) {
   PageIndex End = Start + NumPages;
 
   // Coalesce with the following run.
@@ -194,11 +219,9 @@ bool PageAllocator::pageQuarantined(PageIndex Page) const {
   return Page >= It->first && Page < It->first + It->second;
 }
 
-void PageAllocator::rebuildFreeRuns(
-    const std::vector<std::pair<PageIndex, uint32_t>> &Runs) {
+void PageAllocator::rebuildFreeRuns(std::vector<PageRun> Runs) {
   FreeRuns.clear();
-  for (const auto &[Start, Length] : Runs)
-    freeRun(Start, Length);
+  freeRuns(Runs);
 }
 
 uint64_t PageAllocator::freePageCount() const {

@@ -34,6 +34,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
+#include <utility>
+#include <vector>
 
 namespace cgc {
 
@@ -62,7 +65,14 @@ struct PageAllocatorStats {
   /// Pages deliberately leaked by verify-and-repair: their metadata was
   /// irreparable, so they are withdrawn from circulation forever.
   uint64_t QuarantinedPages = 0;
+  /// Arena.decommit calls: one per maximal run of pages freed together.
+  uint64_t Decommits = 0;
+  /// Pages those calls returned to the operating system.
+  uint64_t DecommittedPages = 0;
 };
+
+/// A run of pages: (first page, page count).
+using PageRun = std::pair<PageIndex, uint32_t>;
 
 class PageAllocator {
 public:
@@ -87,7 +97,21 @@ public:
 
   /// Returns a run to the free pool, coalescing with neighbors.  A
   /// committed run is decommitted, so it reads as zeros when reused.
-  void freeRun(PageIndex Start, uint32_t NumPages);
+  void freeRun(PageIndex Start, uint32_t NumPages) {
+    PageRun Run{Start, NumPages};
+    freeRuns(std::span<PageRun>(&Run, 1));
+  }
+
+  /// Queues a run for freeDeferredRuns instead of freeing it now.  The
+  /// eager sweep releases its dead blocks this way, so runs of adjacent
+  /// blocks cost one decommit, not one per block.  No page may be
+  /// allocated while a run is queued.
+  void deferFreeRun(PageIndex Start, uint32_t NumPages) {
+    Deferred.emplace_back(Start, NumPages);
+  }
+
+  /// Frees every queued run as one freeRuns batch.
+  void freeDeferredRuns();
 
   /// First page of the heap arena (potential heap start).
   PageIndex arenaBasePage() const { return BasePage; }
@@ -135,10 +159,17 @@ public:
   /// and re-adds \p Runs, which must be disjoint, ascending, and inside
   /// [arenaBasePage(), committedLimitPage()).  Freed pages are
   /// decommitted, exactly as an ordinary freeRun would.
-  void rebuildFreeRuns(
-      const std::vector<std::pair<PageIndex, uint32_t>> &Runs);
+  void rebuildFreeRuns(std::vector<PageRun> Runs);
 
 private:
+  /// Frees \p Runs (disjoint, any order; sorted in place): adjacent
+  /// runs merge, each merged run coalesces into FreeRuns, and each
+  /// merged run's committed part is decommitted with one call.
+  void freeRuns(std::span<PageRun> Runs);
+
+  /// Adds [Start, Start+NumPages) to FreeRuns, coalescing with neighbors.
+  void insertFreeRun(PageIndex Start, uint32_t NumPages);
+
   /// Searches existing free runs for a feasible start.
   std::optional<PageIndex> findInFreeRuns(uint32_t NumPages,
                                           PageConstraint Constraint);
@@ -172,6 +203,8 @@ private:
                MetadataAllocator<std::pair<const PageIndex, uint32_t>>>;
   RunMap FreeRuns;
   RunMap Quarantined;
+  /// Runs queued by deferFreeRun, freed by freeDeferredRuns.
+  std::vector<PageRun> Deferred;
   std::function<bool(PageIndex)> IsBlacklisted;
   PageAllocatorStats Stats;
 };

@@ -117,8 +117,31 @@ public:
     return NumBits == Other.NumBits && Words == Other.Words;
   }
 
-private:
+  //===--------------------------------------------------------------===//
+  // Word access: bit I lives in word I / 64 at position I % 64.  Sweep
+  // combines a block's bitmaps 64 slots per step through these.
+  //===--------------------------------------------------------------===//
+
   static constexpr size_t BitsPerWord = 64;
+
+  size_t numWords() const { return Words.size(); }
+
+  uint64_t word(size_t I) const {
+    CGC_ASSERT(I < Words.size(), "BitVector::word out of range");
+    return Words[I];
+  }
+
+  /// Replaces word \p I.  Bits past size() must be clear in \p W, so
+  /// count() and the find operations never see them.
+  void setWord(size_t I, uint64_t W) {
+    CGC_ASSERT(I < Words.size(), "BitVector::setWord out of range");
+    CGC_ASSERT(I + 1 != Words.size() || NumBits % BitsPerWord == 0 ||
+                   (W >> (NumBits % BitsPerWord)) == 0,
+               "BitVector::setWord sets bits past the end");
+    Words[I] = W;
+  }
+
+private:
 
   /// Zeroes the unused high bits of the last word so count() and the
   /// find operations never see stale bits.

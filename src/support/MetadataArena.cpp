@@ -187,6 +187,7 @@ void *MetadataArena::allocateFromChunks(size_t Size) {
 void *MetadataArena::allocate(size_t Size, size_t Align) {
   CGC_ASSERT(!sealed(), "metadata arena allocation while sealed");
   CGC_ASSERT(Align <= MinCellBytes, "over-aligned metadata allocation");
+  (void)Align; // Read only by the assertion.
   if (Size == 0)
     Size = 1;
   if (Size > classBytes(NumSizeClasses - 1)) {

@@ -987,6 +987,7 @@ TEST(CApi, MutatorThreadRegistrationAndSafepoint) {
         Keep[I % 8] = cgc_malloc(GC, 48);
         cgc_safepoint(GC);
       }
+      (void)Keep;
       cgc_unregister_thread(GC);
     });
   for (std::thread &W : Workers)

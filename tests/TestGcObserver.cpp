@@ -129,9 +129,11 @@ TEST(GcObserver, EveryCollectionEmitsEveryPhase) {
   Observer.expectWellFormedCollections(Collections);
   // Collection indices are consecutive.
   uint64_t Expected = 0;
-  for (const Event &E : Observer.Events)
-    if (E.Kind == 'B')
+  for (const Event &E : Observer.Events) {
+    if (E.Kind == 'B') {
       EXPECT_EQ(E.Collection, Expected++);
+    }
+  }
 }
 
 TEST(GcObserver, UnregisterInsideCallbackIsSafe) {

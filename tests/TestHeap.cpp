@@ -7,6 +7,7 @@
 #include "heap/SizeClassTable.h"
 #include "heap/VirtualArena.h"
 #include "support/BitVector.h"
+#include "support/Random.h"
 #include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
@@ -190,6 +191,33 @@ TEST_F(PageAllocFixture, FreeCoalescesAndReusesLowest) {
   auto D = Pages.allocateRun(2, PageConstraint::None);
   ASSERT_TRUE(D.has_value());
   EXPECT_EQ(*D, 256u);
+}
+
+TEST_F(PageAllocFixture, DeferredRunsFreeAsOneBatch) {
+  auto A = Pages.allocateRun(2, PageConstraint::None);
+  auto B = Pages.allocateRun(3, PageConstraint::None);
+  auto C = Pages.allocateRun(1, PageConstraint::None);
+  auto D = Pages.allocateRun(4, PageConstraint::None);
+  auto E = Pages.allocateRun(1, PageConstraint::None);
+  ASSERT_TRUE(A && B && C && D && E);
+  // Queued out of address order: A, B and C are adjacent; E borders
+  // the free tail.  Nothing is freed until the batch.
+  Pages.deferFreeRun(*E, 1);
+  Pages.deferFreeRun(*A, 2);
+  Pages.deferFreeRun(*C, 1);
+  Pages.deferFreeRun(*B, 3);
+  EXPECT_EQ(Pages.freePageCount(), 64u - 11u);
+  EXPECT_EQ(Pages.stats().Decommits, 0u);
+  Pages.freeDeferredRuns();
+  EXPECT_EQ(Pages.stats().Decommits, 2u);
+  EXPECT_EQ(Pages.stats().DecommittedPages, 7u);
+  std::vector<std::pair<PageIndex, uint32_t>> Runs;
+  Pages.forEachFreeRun([&](PageIndex Start, uint32_t Length) {
+    Runs.emplace_back(Start, Length);
+  });
+  ASSERT_EQ(Runs.size(), 2u);
+  EXPECT_EQ(Runs[0], std::make_pair(*A, 6u));
+  EXPECT_EQ(Runs[1], std::make_pair(*E, 64u - 10u));
 }
 
 TEST_F(PageAllocFixture, ArenaLimitRespected) {
@@ -500,4 +528,197 @@ TEST_F(ObjectHeapFixture, LargeAllocationFailsAtArenaLimitAndRecovers) {
   void *After = Heap->allocateLarge(LargeBytes, ObjectKind::Normal);
   EXPECT_NE(After, nullptr);
   Heap->verifyHeap();
+}
+
+TEST_F(ObjectHeapFixture, EagerSweepDecommitsOncePerCoalescedRun) {
+  // K adjacent blocks of dead 8-byte objects, a live 16-byte block,
+  // then one dead 32-byte block: two runs of released pages.
+  constexpr unsigned K = 5;
+  const size_t PerBlock = (PageSize - 2 * GranuleBytes) / 8;
+  auto pageOf = [&](void *P) {
+    return pageOfOffset(Arena.offsetOf(reinterpret_cast<Address>(P)));
+  };
+  for (size_t I = 0; I != K * PerBlock; ++I)
+    std::memset(allocSmall(8), 0xab, 8);
+  void *Live = allocSmall(16);
+  void *Dead = allocSmall(32);
+  std::memset(Dead, 0xcd, 32);
+  const PageIndex First = Pages.arenaBasePage();
+  ASSERT_EQ(pageOf(Live), First + K);
+  ASSERT_EQ(pageOf(Dead), First + K + 1);
+
+  Heap->clearMarks();
+  BlockDescriptor &LiveBlock = blockOf(Live);
+  LiveBlock.MarkBits.set(static_cast<uint32_t>(LiveBlock.slotContaining(
+      Arena.offsetOf(reinterpret_cast<Address>(Live)))));
+  const PageAllocatorStats Before = Pages.stats();
+  SweepResult Swept = Heap->sweep();
+  EXPECT_EQ(Swept.PagesReleased, K + 1);
+  EXPECT_EQ(Pages.stats().Decommits - Before.Decommits, 2u)
+      << "one decommit per run of adjacent released pages";
+  EXPECT_EQ(Pages.stats().DecommittedPages - Before.DecommittedPages, K + 1);
+  Heap->verifyHeap();
+
+  // The released pages come back zero, for small and large reuse alike.
+  auto expectZeroPages = [&](PageIndex Page, uint32_t Count) {
+    const auto *Bytes = static_cast<const unsigned char *>(
+        Arena.pointerTo(offsetOfPage(Page)));
+    for (size_t I = 0; I != Count * PageSize; ++I)
+      ASSERT_EQ(Bytes[I], 0) << "stale byte at page " << Page << " + " << I;
+  };
+  void *Small = allocSmall(64);
+  ASSERT_EQ(pageOf(Small), First);
+  expectZeroPages(First, 1);
+  void *Large = Heap->allocateLarge((K - 1) * PageSize - 2 * GranuleBytes,
+                                    ObjectKind::Normal);
+  ASSERT_NE(Large, nullptr);
+  ASSERT_EQ(pageOf(Large), First + 1);
+  expectZeroPages(First + 1, K - 1);
+  void *Other = allocSmall(128);
+  ASSERT_EQ(pageOf(Other), First + K + 1);
+  expectZeroPages(First + K + 1, 1);
+}
+
+namespace {
+
+/// The per-slot sweep loop that ObjectHeap::sweepSmallBlockBody once
+/// ran, kept as the reference for the word-wise body.  It sweeps
+/// \p Block against a copy of the block's page at \p Page.
+uint64_t referenceSweepBody(BlockDescriptor &Block, unsigned char *Page,
+                            SweepResult &Result,
+                            SweepDisposition &Disposition) {
+  Block.PinnedBits.clearAll();
+  Block.PinnedCount = 0;
+  uint64_t BytesFreed = 0;
+  for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
+    bool Marked = Block.MarkBits.test(Slot);
+    bool Allocated = Block.AllocBits.test(Slot);
+    if (Allocated && !Marked) {
+      Block.AllocBits.reset(Slot);
+      --Block.AllocatedCount;
+      BytesFreed += Block.ObjectSize;
+      Result.BytesSweptFree += Block.ObjectSize;
+      ++Result.ObjectsSweptFree;
+      std::memset(Page + Block.FirstObjectOffset +
+                      size_t(Slot) * Block.ObjectSize,
+                  0, Block.ObjectSize);
+    } else if (!Allocated && Marked) {
+      Block.PinnedBits.set(Slot);
+      ++Block.PinnedCount;
+    }
+  }
+  Result.ObjectsLive += Block.AllocatedCount;
+  Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
+  Result.SlotsPinned += Block.PinnedCount;
+  if (Block.AllocatedCount == 0 && Block.PinnedCount == 0) {
+    Result.PagesReleased += Block.NumPages;
+    Disposition = SweepDisposition::Release;
+  } else if (Block.usableFreeCount() > 0) {
+    Disposition = SweepDisposition::Relist;
+  } else {
+    Disposition = SweepDisposition::Keep;
+  }
+  return BytesFreed;
+}
+
+} // namespace
+
+TEST(ObjectHeap, SweepBodyMatchesPerSlotReference) {
+  Rng R(0x5eed);
+  unsigned Released = 0, Kept = 0;
+  // FirstObjectOffset 16 and 0: slot counts that are and are not a
+  // multiple of 64.
+  for (bool AvoidTrailingZeros : {true, false}) {
+    VirtualArena Arena(64 << 20);
+    PageAllocator Pages(Arena, 256, 2048, 64);
+    PageMap Map(Arena.numPages());
+    BlockTable Blocks;
+    ObjectHeapConfig Config;
+    Config.AvoidTrailingZeroAddresses = AvoidTrailingZeros;
+    ObjectHeap Heap(Arena, Pages, Map, Blocks, Config);
+    for (unsigned Class = 0; Class != Heap.numSizeClasses(); ++Class) {
+      const size_t SlotBytes = Heap.sizeClassBytes(Class);
+      void *First = Heap.allocateFromExisting(SlotBytes, ObjectKind::Normal, 0);
+      if (!First) {
+        ASSERT_TRUE(Heap.addBlock(SlotBytes, ObjectKind::Normal, 0));
+        First = Heap.allocateFromExisting(SlotBytes, ObjectKind::Normal, 0);
+      }
+      WindowOffset Base = Arena.offsetOf(reinterpret_cast<Address>(First));
+      BlockDescriptor &Block = Blocks.get(Map.blockAt(pageOfOffset(Base)));
+      unsigned char *Page =
+          static_cast<unsigned char *>(Arena.pointerTo(Block.startOffset()));
+      const uint32_t N = Block.ObjectCount;
+      for (unsigned Trial = 0; Trial != 48; ++Trial) {
+        // Trials 0-3: fully dead, fully live, all live but a dead run
+        // across the first word boundary, a dead run to the last slot.
+        // The rest: random bits at random densities.
+        const double Density[] = {0.0, 0.125, 0.5, 0.875, 1.0};
+        double AllocP = Density[R.pickIndex(5)];
+        double MarkP = Density[R.pickIndex(5)];
+        Block.AllocBits.clearAll();
+        Block.MarkBits.clearAll();
+        for (uint32_t Slot = 0; Slot != N; ++Slot) {
+          bool Alloc = Trial < 4 || R.nextBool(AllocP);
+          bool Mark = Trial == 1 || (Trial == 2 && (Slot < 60 || Slot >= 70)) ||
+                      (Trial == 3 && Slot + 5 < N) ||
+                      (Trial >= 4 && R.nextBool(MarkP));
+          if (Alloc)
+            Block.AllocBits.set(Slot);
+          if (Mark)
+            Block.MarkBits.set(Slot);
+        }
+        Block.AllocatedCount = static_cast<uint32_t>(Block.AllocBits.count());
+        // Stale pins from an earlier collection: both bodies replace them.
+        for (uint32_t Slot = 0; Slot != N; ++Slot)
+          if (R.nextBool(0.25))
+            Block.PinnedBits.set(Slot);
+          else
+            Block.PinnedBits.reset(Slot);
+        Block.PinnedCount = static_cast<uint32_t>(Block.PinnedBits.count());
+        for (size_t I = 0; I != PageSize; ++I)
+          Page[I] = static_cast<unsigned char>(R.next64() | 1);
+
+        std::vector<unsigned char> Before(Page, Page + PageSize);
+        std::vector<unsigned char> WantPage = Before;
+        BlockDescriptor Want = Block;
+        SweepResult WantResult, GotResult;
+        SweepDisposition WantDisposition, GotDisposition;
+        uint64_t WantFreed = referenceSweepBody(Want, WantPage.data(),
+                                                WantResult, WantDisposition);
+        uint64_t GotFreed =
+            Heap.sweepSmallBlockBody(Block, GotResult, GotDisposition);
+
+        SCOPED_TRACE(::testing::Message()
+                     << "slot size " << SlotBytes << " offset "
+                     << Block.FirstObjectOffset << " trial " << Trial);
+        ASSERT_EQ(GotFreed, WantFreed);
+        ASSERT_EQ(GotDisposition, WantDisposition);
+        ASSERT_TRUE(Block.AllocBits == Want.AllocBits);
+        ASSERT_TRUE(Block.PinnedBits == Want.PinnedBits);
+        ASSERT_TRUE(Block.MarkBits == Want.MarkBits);
+        ASSERT_EQ(Block.AllocatedCount, Want.AllocatedCount);
+        ASSERT_EQ(Block.PinnedCount, Want.PinnedCount);
+        ASSERT_EQ(GotResult.BytesSweptFree, WantResult.BytesSweptFree);
+        ASSERT_EQ(GotResult.ObjectsSweptFree, WantResult.ObjectsSweptFree);
+        ASSERT_EQ(GotResult.BytesLive, WantResult.BytesLive);
+        ASSERT_EQ(GotResult.ObjectsLive, WantResult.ObjectsLive);
+        ASSERT_EQ(GotResult.PagesReleased, WantResult.PagesReleased);
+        ASSERT_EQ(GotResult.SlotsPinned, WantResult.SlotsPinned);
+        ASSERT_TRUE(GotResult.GuardViolations.empty());
+        // A released block's pages are decommitted, so its dead slots
+        // are left as they were; any other block matches the reference
+        // byte for byte: live bytes untouched, dead bytes zero.
+        std::vector<unsigned char> Got(Page, Page + PageSize);
+        if (GotDisposition == SweepDisposition::Release) {
+          ++Released;
+          ASSERT_TRUE(Got == Before);
+        } else {
+          ++Kept;
+          ASSERT_TRUE(Got == WantPage);
+        }
+      }
+    }
+  }
+  EXPECT_GT(Released, 0u);
+  EXPECT_GT(Kept, 0u);
 }
